@@ -97,6 +97,23 @@ AVERAGE_KINDS = {
 }
 
 
+def check_kind(kind: str, count: int):
+    """Reject an unknown average kind or the wrong number of observables for it."""
+    if kind not in AVERAGE_KINDS:
+        raise ValueError(f"unknown average kind: {kind!r}")
+    if count != AVERAGE_KINDS[kind]:
+        raise DimensionError(f"kind {kind} needs {AVERAGE_KINDS[kind]} observables, got {count}")
+
+
+def check_schedule(schedule: Sequence[int]):
+    """Reject a schedule that is empty, not strictly increasing, or has a
+    window size below 1."""
+    if not schedule or any(n < 1 for n in schedule):
+        raise ValueError("schedule must be a nonempty list of positive window sizes")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class AverageSpec:
     kind: str
@@ -105,15 +122,8 @@ class AverageSpec:
     schedule: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in AVERAGE_KINDS:
-            raise ValueError(f"unknown average kind: {self.kind!r}")
-        need = AVERAGE_KINDS[self.kind]
-        if len(self.observables) != need:
-            raise DimensionError(f"kind {self.kind} needs {need} observables, got {len(self.observables)}")
-        if not self.schedule or any(n < 1 for n in self.schedule):
-            raise ValueError("schedule must be a nonempty list of positive window sizes")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise ValueError("schedule must be strictly increasing")
+        check_kind(self.kind, len(self.observables))
+        check_schedule(self.schedule)
 
 
 def window_counts(N: int, period: int) -> List[int]:

@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core import Observable, PreconditionError, format_fraction
+from .core import DimensionError, Observable, PreconditionError, format_fraction
 from .finite import (
     FiniteMPS,
     S_GEN,
@@ -64,10 +64,9 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which this interface
-    # reserves for genuine property violations; remap to 1.
+    # reserves for genuine property violations; remap to 1, as one line.
     def error(self, message):
-        self.print_usage(_sys.stderr)
-        raise CliError(message)
+        raise CliError(f"{message} (see {self.prog} --help)")
 
 
 def _atomic_write(path: str, text: str):
@@ -129,7 +128,10 @@ def _parse_trig(text: str) -> TrigPoly:
             coeffs[-n] = coeffs.get(-n, 0j) + complex(re, -im)
     if not coeffs:
         raise CliError("empty trigonometric polynomial")
-    return TrigPoly(coeffs)
+    try:
+        return TrigPoly(coeffs)
+    except ValueError as exc:
+        raise CliError(f"bad trig observable {text!r}: {exc}")
 
 
 def _parse_schedule(text: str) -> Tuple[int, ...]:
@@ -251,7 +253,7 @@ def cmd_average(args) -> int:
         if len(polys) != need:
             raise CliError(f"kind {kind} needs {need} observables, got {len(polys)}")
         start = _parse_fraction(args.start) if args.start else Fraction(0)
-        report = torus_report(system, kind, polys, start, schedule, block_size=args.block_size)
+        report = torus_report(system, kind, polys, start, schedule)
     else:
         if not args.observable:
             raise CliError("finite averages need at least one --observable")
@@ -368,8 +370,14 @@ def cmd_cube(args) -> int:
         if not space.is_transitive():
             raise CliError("empirical comparison against the uniform measure needs a transitive cube space")
         reference = space.uniform_measure()
-        starts = "all" if args.starts == "all" else [int(s) for s in args.starts.split(",")]
-        report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
+        try:
+            starts = "all" if args.starts == "all" else [int(s) for s in args.starts.split(",")]
+        except ValueError:
+            raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
+        try:
+            report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
+        except DimensionError as exc:
+            raise CliError(str(exc))
         lines.append("empirical deviation from uniform (worst start):")
         for row in report.rows:
             lines.append(f"  N={row.N}: {format_fraction(row.value)} (~{float(row.value):.6f})")
@@ -428,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "text"), default="csv")
     p.add_argument("--tolerance", type=float, default=None,
                    help="exit 2 if any |value - reference| exceeds this")
-    p.add_argument("--block-size", type=int, default=256, help="torus evaluation block rows")
     p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("extend", help="build the magic extension")

@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 from .core import DimensionError, PreconditionError, SparseMeasure
 from .finite import FiniteMPS, GroupElement, S_GEN, T_GEN, is_ergodic, product_system
 from .joinings import S_STAR, T_STAR, apply_rule, diagonal_rule, host_measure, rel_indep_square
-from .averaging import ConvergenceReport, ReportRow, window_counts
+from .averaging import ConvergenceReport, ReportRow, check_schedule, window_counts
 
 _ID = GroupElement(0, 0)
 
@@ -326,10 +326,7 @@ def empirical_unique_ergodicity(
                 raise DimensionError(f"start point {x} outside 0..{m - 1}")
     if not start_list:
         raise ValueError("need at least one start point")
-    if not schedule or any(n < 1 for n in schedule):
-        raise ValueError("schedule must be a nonempty list of positive window sizes")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    check_schedule(schedule)
 
     d = len(perms)
     # Residue boxes per start: the orbit point for each residue tuple, computed once.

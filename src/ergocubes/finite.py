@@ -306,13 +306,23 @@ def system_to_dict(sys: FiniteMPS) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but true/false are not point indices
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def system_from_dict(doc: dict) -> FiniteMPS:
+    if not isinstance(doc, dict):
+        raise SystemFormatError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("n", "weights", "S", "T"):
         if key not in doc:
             raise SystemFormatError(f"missing field: {key}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SystemFormatError("n: expected a positive integer")
+    for name in ("weights", "S", "T"):
+        if not isinstance(doc[name], list):
+            raise SystemFormatError(f"{name}: expected a list, got {type(doc[name]).__name__}")
     if len(doc["weights"]) != n:
         raise SystemFormatError(f"weights: expected {n} entries, got {len(doc['weights'])}")
     try:
@@ -320,7 +330,7 @@ def system_from_dict(doc: dict) -> FiniteMPS:
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemFormatError(f"weights: not a p/q rational ({exc})") from exc
     for name in ("S", "T"):
-        if len(doc[name]) != n or any(not isinstance(v, int) for v in doc[name]):
+        if len(doc[name]) != n or not all(_is_int(v) for v in doc[name]):
             raise SystemFormatError(f"{name}: expected {n} integer entries")
     try:
         return FiniteMPS(weights, doc["S"], doc["T"])

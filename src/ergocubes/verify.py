@@ -360,7 +360,7 @@ def verify_torus(seed: int, trials: int) -> SuiteResult:
         N = rng.randint(1, 4)
         for kind, obs in (("cubic", [f, f, f]), ("fourfold", [f, f, f, f]),
                           ("windowed_sn", [f]), ("birkhoff_2d", [f])):
-            fast = torus_average(system, kind, obs, start, N, block_size=2)
+            fast = torus_average(system, kind, obs, start, N)
             slow = torus_average_naive(system, kind, obs, start, N)
             if abs(fast - slow) > 1e-9 * max(1.0, abs(slow)):
                 findings.append(f"trial {trial}: {kind} at N={N} differs from the literal loop")

@@ -64,6 +64,17 @@ class TestAnalyze:
         assert code == 1
         assert "a system is required" in err
 
+    def test_mistyped_system_fields(self, capsys, tmp_path):
+        path = tmp_path / "typed.json"
+        for doc, message in (
+            ({"n": 1, "weights": 5, "S": [0], "T": [0]}, "weights: expected a list, got int"),
+            ({"n": 2, "weights": ["1/2", "1/2"], "S": [0, True], "T": [0, 1]}, "S: expected 2 integer entries"),
+        ):
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "analyze", "--system", str(path))
+            assert code == 1 and out == ""
+            assert err == f"error: {path}: {message}\n"
+
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -219,6 +230,13 @@ class TestAverage:
         code, _, err = run(capsys, *base, "--trig", "0:0.5:1")
         assert code == 1 and "constant term must be real" in err
 
+    def test_trig_rejects_non_finite_coefficients(self, capsys):
+        base = ["average", "--builtin", "torus-sqrt23", "--kind", "birkhoff_1d", "--schedule", "4"]
+        for term in ("1:nan:0", "0:inf:0", "2:0:-inf"):
+            code, out, err = run(capsys, *base, "--trig", term)
+            assert code == 1 and out == "", term
+            assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err, term
+
     def test_mixing_observable_styles(self, capsys):
         code, _, err = run(
             capsys,
@@ -270,23 +288,18 @@ class TestAverage:
         assert code == 0
         assert target.read_bytes() == first
 
-    def test_torus_csv_independent_of_block_size(self, capsys, tmp_path):
-        files = []
-        for block in ("16", "256"):
-            target = tmp_path / f"block-{block}.csv"
-            code, _, _ = run(
-                capsys,
-                "average",
-                "--builtin", "torus-sqrt23",
-                "--kind", "cubic",
-                "--trig", "1:0.5:0;2:0:-0.5",
-                "--schedule", "8,32,128",
-                "--block-size", block,
-                "--out", str(target),
-            )
-            assert code == 0
-            files.append(target.read_bytes())
-        assert files[0] == files[1]
+    def test_block_size_flag_is_gone(self, capsys):
+        code, out, err = run(
+            capsys,
+            "average",
+            "--builtin", "torus-sqrt23",
+            "--kind", "cubic",
+            "--trig", "1:0.5:0",
+            "--schedule", "4",
+            "--block-size", "4",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: unrecognized arguments: --block-size 4")
 
 
 class TestExtend:
@@ -354,6 +367,15 @@ class TestCube:
         assert "empirical deviation from uniform (worst start):" in out
         assert "N=4: 0/1" in out
         assert "N=8: 0/1" in out
+
+    def test_bad_starts(self, capsys):
+        base = ["cube", "--builtin", "grid-2x3", "--schedule", "4"]
+        code, out, err = run(capsys, *base, "--starts", "x")
+        assert code == 1 and out == ""
+        assert err == "error: --starts must be 'all' or comma-separated quadruple indices, got 'x'\n"
+        code, out, err = run(capsys, *base, "--starts", "0,9999")
+        assert code == 1 and out == ""
+        assert err == "error: start point 9999 outside 0..107\n"
 
     def test_identification(self, capsys, tmp_path):
         first = write_system(tmp_path / "s.json", translation_system(5, 1, (1, 0), (0, 0)))

@@ -265,6 +265,23 @@ class TestSerialization:
         with pytest.raises(SystemFormatError, match="S"):
             system_from_dict({"n": 2, "weights": ["1/2", "1/2"], "S": [0], "T": [0, 1]})
 
+    def test_fields_must_be_lists(self):
+        doc = {"n": 1, "weights": ["1/1"], "S": [0], "T": [0]}
+        for name, bad in (("weights", 5), ("S", "0"), ("T", {"0": 0})):
+            with pytest.raises(SystemFormatError, match=f"{name}: expected a list"):
+                system_from_dict({**doc, name: bad})
+        with pytest.raises(SystemFormatError, match="expected a JSON object"):
+            system_from_dict([1, ["1/1"], [0], [0]])
+
+    def test_bools_are_not_integers(self):
+        doc = {"n": 2, "weights": ["1/2", "1/2"], "S": [0, 1], "T": [0, 1]}
+        with pytest.raises(SystemFormatError, match="S: expected 2 integer entries"):
+            system_from_dict({**doc, "S": [0, True]})
+        with pytest.raises(SystemFormatError, match="T: expected 2 integer entries"):
+            system_from_dict({**doc, "T": [False, 1]})
+        with pytest.raises(SystemFormatError, match="n: expected a positive integer"):
+            system_from_dict({"n": True, "weights": ["1/1"], "S": [0], "T": [0]})
+
     def test_invalid_system_reported_as_format_error(self):
         with pytest.raises(SystemFormatError, match="non-commuting"):
             system_from_dict({"n": 3, "weights": ["1/3"] * 3, "S": [1, 0, 2], "T": [0, 2, 1]})

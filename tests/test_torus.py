@@ -1,15 +1,21 @@
 """Circle-rotation systems, trigonometric observables, and analytic limits."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
-import numpy as np
+import mpmath
 import pytest
 
+import ergocubes
+from ergocubes.averaging import AVERAGE_KINDS
 from ergocubes.core import DimensionError, PreconditionError
 from ergocubes.torus import (
-    TORUS_KINDS,
     TorusSystem,
     TrigPoly,
     fourier_cubic_limit,
@@ -82,13 +88,13 @@ class TestTrigPoly:
         assert TrigPoly.sine(0).value(0.3) == 0.0
         assert TrigPoly.constant(2.5).value(0.9) == 2.5
 
-    def test_values_matches_value(self):
-        rng = Random(401)
-        poly = random_poly(rng)
-        xs = np.array([rng.random() for _ in range(50)])
-        vec = poly.values(xs)
-        for x, v in zip(xs, vec):
-            assert abs(poly.value(x) - v) < 1e-10
+    def test_rejects_non_finite_coefficients(self):
+        nan, inf = float("nan"), float("inf")
+        for coeffs in ({0: nan}, {0: -inf}, {1: complex(0, inf), -1: complex(0, -inf)}, {2: nan, -2: nan}):
+            with pytest.raises(ValueError, match="not finite"):
+                TrigPoly(coeffs)
+        with pytest.raises(ValueError, match="not finite"):
+            TrigPoly.constant(1e308) + TrigPoly.constant(1e308)
 
     def test_algebra(self):
         cos1, sin1 = TrigPoly.cosine(1), TrigPoly.sine(1)
@@ -154,24 +160,13 @@ class TestTorusAverages:
         rng = Random(409)
         systems = [sqrt23_system(), TorusSystem(F(1, 3), F(2, 7))]
         for sys in systems:
-            for kind, arity in TORUS_KINDS.items():
+            for kind, arity in AVERAGE_KINDS.items():
                 obs = [random_poly(rng, max_freq=2) for _ in range(arity)]
                 for N in (1, 2, 4, 5):
                     x = F(rng.randint(0, 9), 10)
                     fast = torus_average(sys, kind, obs, x, N)
                     slow = torus_average_naive(sys, kind, obs, x, N)
                     assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_block_size_never_changes_the_result(self):
-        sys = sqrt23_system()
-        rng = Random(419)
-        obs3 = [random_poly(rng, max_freq=2) for _ in range(3)]
-        one = [random_poly(rng, max_freq=3)]
-        for kind, observables in (("cubic", obs3), ("windowed_sn", one), ("birkhoff_2d", one)):
-            baseline = torus_average(sys, kind, observables, F(1, 7), 300, block_size=256)
-            for block in (1, 7, 64, 1024):
-                again = torus_average(sys, kind, observables, F(1, 7), 300, block_size=block)
-                assert again == baseline  # bitwise, not just close
 
     def test_cubic_approaches_analytic_limit(self):
         sys = sqrt23_system()
@@ -210,8 +205,96 @@ class TestTorusAverages:
             torus_average(sys, "cubic", [cos1], 0, 4)
         with pytest.raises(ValueError, match="window size must be positive"):
             torus_average(sys, "birkhoff_1d", [cos1], 0, 0)
-        with pytest.raises(ValueError, match="block size must be positive"):
-            torus_average(sys, "birkhoff_1d", [cos1], 0, 4, block_size=0)
+
+    def test_every_kind_near_its_limit_at_huge_windows(self):
+        sys = sqrt23_system()
+        rng = Random(421)
+        x = F(2, 11)
+        for kind, arity in AVERAGE_KINDS.items():
+            obs = [random_poly(rng, max_freq=2) for _ in range(arity)]
+            if kind == "cubic":
+                limit = fourier_cubic_limit(sys, *obs, x)
+            elif kind == "fourfold":
+                limit = fourier_host_integral(sys, *obs)
+            elif kind == "windowed_sn":
+                limit = abs(fourier_host_integral(sys, *obs * 4))
+            else:
+                limit = obs[0].coeff(0).real
+            value = torus_average(sys, kind, obs, x, 2**40)
+            assert math.isfinite(value), kind
+            assert abs(value - limit) < 2e-2, kind
+
+
+def mp_value(f, theta):
+    """f(theta) in high precision, each phase n*theta reduced mod 1 exactly."""
+    total = mpmath.mpc(0)
+    for n, c in f.coeffs.items():
+        t = (n * theta) % 1
+        total += mpmath.mpc(c.real, c.imag) * mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+    return total.real
+
+
+def mp_box_average(sys, kind, observables, x, N):
+    """The defining box sum of `kind` as literal loops at 50 digits."""
+    with mpmath.workdps(50):
+        cache = {}
+
+        def at(k, i, j):
+            # observable k at x + i*alpha + j*beta
+            if (k, i, j) not in cache:
+                cache[k, i, j] = mp_value(observables[k], x + i * sys.alpha + j * sys.beta)
+            return cache[k, i, j]
+
+        box = range(N)
+        if kind == "birkhoff_1d":
+            return mpmath.fsum(at(0, i, 0) for i in box) / N
+        if kind == "birkhoff_2d":
+            return mpmath.fsum(at(0, i, j) for i in box for j in box) / N**2
+        if kind == "cubic":
+            return mpmath.fsum(at(0, i, 0) * at(1, 0, j) * at(2, i, j) for i in box for j in box) / N**2
+        if kind == "windowed_sn":
+            total = mpmath.fsum(
+                at(0, i, j) * at(0, i2, j) * at(0, i, j2) * at(0, i2, j2)
+                for i, i2, j, j2 in itertools.product(box, repeat=4)
+            )
+            return abs(total) / mpmath.mpf(N) ** 4
+        total = mpmath.fsum(
+            at(0, i, j) * at(1, i + k, j) * at(2, i, j + p) * at(3, i + k, j + p)
+            for i, k, j, p in itertools.product(box, repeat=4)
+        )
+        return total / mpmath.mpf(N) ** 4
+
+
+class TestHighPrecisionOracle:
+    # The stated bound of torus_average: 2**-44 times the product of the
+    # observables' coefficient sums (sup_bound), for every N.
+    SYSTEMS = (sqrt23_system(), TorusSystem(F(1, 3), F(2, 7)), TorusSystem(F(1, 10**8), F(3, 10**9)))
+
+    def check(self, kind, sizes, seed):
+        rng = Random(seed)
+        for sys in self.SYSTEMS:
+            obs = [random_poly(rng, max_freq=2) for _ in range(AVERAGE_KINDS[kind])]
+            bound = 2.0**-44 * math.prod(f.sup_bound for f in obs * (4 if kind == "windowed_sn" else 1))
+            for N in sizes:
+                x = F(rng.randint(0, 96), 97)
+                exact = mp_box_average(sys, kind, obs, x, N)
+                assert abs(torus_average(sys, kind, obs, x, N) - exact) <= bound, (kind, sys, N)
+
+    @pytest.mark.parametrize("kind", ["birkhoff_1d", "birkhoff_2d", "cubic"])
+    def test_box_sums_up_to_64(self, kind):
+        self.check(kind, (1, 5, 64), seed=431)
+
+    @pytest.mark.parametrize("kind", ["windowed_sn", "fourfold"])
+    def test_quadruple_sums_up_to_6(self, kind):
+        self.check(kind, (1, 2, 6), seed=433)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(ergocubes.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, ergocubes; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestTorusReport:
