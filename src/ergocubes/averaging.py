@@ -131,23 +131,6 @@ def window_counts(N: int, period: int) -> List[int]:
     return [(N - 1 - r) // period + 1 if r < N else 0 for r in range(period)]
 
 
-def _orbit_grid(sys: FiniteMPS, x: int) -> Tuple[int, int, List[List[int]]]:
-    """grid[r][s] = S^r T^s x for r < a, s < b (cycle lengths at x), cached."""
-    cached = sys._grid_cache.get(x)
-    if cached is not None:
-        return cached
-    a = sys.cycle_length(S_GEN, x)
-    b = sys.cycle_length(T_GEN, x)
-    row = [x]
-    for _ in range(b - 1):
-        row.append(sys.T[row[-1]])
-    grid = [row]
-    for _ in range(a - 1):
-        grid.append([sys.S[p] for p in grid[-1]])
-    sys._grid_cache[x] = (a, b, grid)
-    return a, b, grid
-
-
 def _check_average_args(sys: FiniteMPS, observables: Sequence[Observable], x: int, N: int):
     if not (0 <= x < sys.n):
         raise DimensionError(f"start point {x} outside 0..{sys.n - 1}")
@@ -161,7 +144,7 @@ def _check_average_args(sys: FiniteMPS, observables: Sequence[Observable], x: in
 def cubic_average(sys: FiniteMPS, f1: Observable, f2: Observable, f3: Observable, x: int, N: int) -> Fraction:
     """(1/N^2) sum_{i,j<N} f1(S^i x) f2(T^j x) f3(S^i T^j x), exactly."""
     _check_average_args(sys, (f1, f2, f3), x, N)
-    a, b, grid = _orbit_grid(sys, x)
+    a, b, grid = sys.orbit_grid(x)
     cs, ct = window_counts(N, a), window_counts(N, b)
     total = Fraction(0)
     for r in range(a):
@@ -188,7 +171,7 @@ def fourfold_average(
     times because k itself ranges over a full window; likewise in j, p.
     """
     _check_average_args(sys, (f0, f1, f2, f3), x, N)
-    a, b, grid = _orbit_grid(sys, x)
+    a, b, grid = sys.orbit_grid(x)
     cs, ct = window_counts(N, a), window_counts(N, b)
     F = [
         [[f.values[grid[r][s]] for s in range(b)] for r in range(a)]
@@ -222,7 +205,7 @@ def fourfold_average_naive(
 ) -> Fraction:
     """Literal quadruple loop; reference implementation for equality tests."""
     _check_average_args(sys, (f0, f1, f2, f3), x, N)
-    a, b, grid = _orbit_grid(sys, x)
+    a, b, grid = sys.orbit_grid(x)
     total = Fraction(0)
     for i in range(N):
         for j in range(N):
@@ -246,7 +229,7 @@ def windowed_sn(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction:
     squares, hence nonnegative before the absolute value.
     """
     _check_average_args(sys, (f,), x, N)
-    a, b, grid = _orbit_grid(sys, x)
+    a, b, grid = sys.orbit_grid(x)
     cs, ct = window_counts(N, a), window_counts(N, b)
     F = [[f.values[grid[r][s]] for s in range(b)] for r in range(a)]
     total = Fraction(0)
@@ -264,7 +247,7 @@ def windowed_sn(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction:
 def windowed_sn_naive(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction:
     """Literal A_N loop; reference implementation for equality tests."""
     _check_average_args(sys, (f,), x, N)
-    a, b, grid = _orbit_grid(sys, x)
+    a, b, grid = sys.orbit_grid(x)
     total = Fraction(0)
     for i in range(N):
         for j in range(N):
@@ -392,8 +375,7 @@ def decompose_and_converge(
     limit; the mean-zero part has vanishing seminorm, so its S_N bound
     squeezes the second track to zero.
     """
-    if not schedule or any(n < 1 for n in schedule):
-        raise ValueError("schedule must be a nonempty list of positive window sizes")
+    check_schedule(schedule)
     failures = []
     if not is_magic(sys).is_magic:
         failures.append("not magic")
@@ -411,14 +393,9 @@ def decompose_and_converge(
 
     p_s = partition_s(sys)
     p_t = partition_t(sys)
-    a = sys.cycle_length(S_GEN, x)
-    b = sys.cycle_length(T_GEN, x)
-    s_cycle = [x]
-    for _ in range(a - 1):
-        s_cycle.append(sys.S[s_cycle[-1]])
-    t_cycle = [x]
-    for _ in range(b - 1):
-        t_cycle.append(sys.T[t_cycle[-1]])
+    a, b, grid = sys.orbit_grid(x)
+    s_cycle = [row[0] for row in grid]
+    t_cycle = grid[0]
     limit = Fraction(0)
     for block in w_part.blocks():
         anchor = block[0]
@@ -444,19 +421,18 @@ def decompose_and_converge(
 def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
     """Drive one average kind over a schedule, wiring in the exact oracle
     reference where one exists (the four-fold joining integral)."""
+    _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
     reference: Optional[Fraction] = None
     if spec.kind == "fourfold":
         reference = integrate(host_measure(sys).mu_st, spec.observables)
     elif spec.kind == "windowed_sn":
         reference = host_seminorm(host_measure(sys), spec.observables[0]).fourth_power
     elif spec.kind == "birkhoff_1d":
-        period = sys.cycle_length(S_GEN, spec.start)
+        period, _, _ = sys.orbit_grid(spec.start)
         reference = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN], period)
     elif spec.kind == "birkhoff_2d":
-        period_s = sys.cycle_length(S_GEN, spec.start)
-        period_t = sys.cycle_length(T_GEN, spec.start)
-        period = math.lcm(period_s, period_t)
-        reference = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN, T_GEN], period)
+        period_s, period_t, _ = sys.orbit_grid(spec.start)
+        reference = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN, T_GEN], math.lcm(period_s, period_t))
     rows = []
     for N in spec.schedule:
         begin = time.perf_counter()

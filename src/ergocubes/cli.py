@@ -23,7 +23,6 @@ import json
 import os
 import sys as _sys
 import tempfile
-import time
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +42,7 @@ from .finite import (
     z4_diagonal,
 )
 from .joinings import host_measure, is_magic, magic_extension, measurability_check, ExtensionConstructionError
-from .averaging import AVERAGE_KINDS, AverageSpec, ConvergenceReport, run_average
+from .averaging import AVERAGE_KINDS, AverageSpec, run_average
 from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
 from .verify import SUITES, run_suites
@@ -253,7 +252,10 @@ def cmd_average(args) -> int:
         if len(polys) != need:
             raise CliError(f"kind {kind} needs {need} observables, got {len(polys)}")
         start = _parse_fraction(args.start) if args.start else Fraction(0)
-        report = torus_report(system, kind, polys, start, schedule)
+        try:
+            report = torus_report(system, kind, polys, start, schedule)
+        except ValueError as exc:
+            raise CliError(str(exc))
     else:
         if not args.observable:
             raise CliError("finite averages need at least one --observable")
@@ -272,7 +274,7 @@ def cmd_average(args) -> int:
         try:
             spec = AverageSpec(kind=kind, observables=tuple(obs), start=start, schedule=schedule)
             report = run_average(system, spec)
-        except (ValueError, PreconditionError) as exc:
+        except ValueError as exc:
             raise CliError(str(exc))
     text = report.to_csv() if args.format == "csv" else report.to_text()
     _emit(text, args.out)
@@ -315,10 +317,11 @@ def cmd_extend(args) -> int:
             f"  size={comp.size} mass={format_fraction(comp.mass)} {' '.join(flags)} "
             f"selected={_yesno(comp.selected)}{note}"
         )
-    report = is_magic(ext.system)
-    lines.append(f"extension magic: {_yesno(report.is_magic)}")
+    # magic_extension decided both verdicts on this very component
+    chosen = next(comp for comp in ext.components if comp.selected)
+    lines.append(f"extension magic: {_yesno(chosen.magic)}")
     lines.append(f"extension ergodic: {_yesno(is_ergodic(ext.system))}")
-    lines.append(f"extension free: {_yesno(is_free(ext.system).free)}")
+    lines.append(f"extension free: {_yesno(chosen.free)}")
     if args.out:
         doc = system_to_dict(ext.system)
         doc["factor"] = list(ext.factor)

@@ -118,15 +118,9 @@ def cube_space(sys: FiniteMPS) -> ActionSpace:
     """
     quads = set()
     for x in range(sys.n):
-        a = sys.cycle_length(S_GEN, x)
-        b = sys.cycle_length(T_GEN, x)
-        sx = x
-        for _ in range(a):
-            row_t, row_st = x, sx
-            for _ in range(b):
-                quads.add((x, sx, row_t, row_st))
-                row_t, row_st = sys.T[row_t], sys.T[row_st]
-            sx = sys.S[sx]
+        _, _, grid = sys.orbit_grid(x)
+        for row in grid:
+            quads.update((x, row[0], t, st) for t, st in zip(grid[0], row))
     transforms = (
         CubeTransform("side_s", S_STAR),
         CubeTransform("side_t", T_STAR),

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Partition, as_fraction, format_fraction
 
@@ -50,25 +50,40 @@ def _check_permutation(perm: Sequence[int], n: int, name: str) -> Tuple[int, ...
     return perm
 
 
-def _cycle_lengths(perm: Tuple[int, ...]) -> List[int]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        out.append(length)
+def _cycle(perm: Tuple[int, ...], x: int) -> List[int]:
+    """The cycle of `perm` through x, starting at x."""
+    out, y = [x], perm[x]
+    while y != x:
+        out.append(y)
+        y = perm[y]
     return out
+
+
+def _power_tables(perm: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    seen, order = set(), 1
+    for x in range(len(perm)):
+        if x not in seen:
+            cycle = _cycle(perm, x)
+            seen.update(cycle)
+            order = math.lcm(order, len(cycle))
+    tables = [perm]
+    while (1 << len(tables)) < order:
+        prev = tables[-1]
+        tables.append(tuple(prev[p] for p in prev))
+    return order, tuple(tables)
+
+
+def _grid(S: Tuple[int, ...], T: Tuple[int, ...], x: int):
+    grid = [tuple(_cycle(T, x))]
+    for _ in range(len(_cycle(S, x)) - 1):
+        grid.append(tuple(S[p] for p in grid[-1]))
+    return len(grid), len(grid[0]), tuple(grid)
 
 
 class FiniteMPS:
     """A finite system (X, mu, S, T) with S, T commuting and mu-preserving."""
 
-    __slots__ = ("n", "weights", "S", "T", "_pow2", "_order", "_grid_cache")
+    __slots__ = ("n", "weights", "S", "T", "_memo")
 
     def __init__(self, weights: Sequence, S: Sequence[int], T: Sequence[int]):
         weights = [as_fraction(w) for w in weights]
@@ -102,41 +117,39 @@ class FiniteMPS:
         self.weights = tuple(weights)
         self.S = S
         self.T = T
-        self._pow2: Dict[str, List[Tuple[int, ...]]] = {}
-        self._order: Dict[str, int] = {}
-        self._grid_cache: Dict = {}
+        self._memo: Dict[Hashable, object] = {}
 
     # -- derived data ------------------------------------------------------
 
+    def cached(self, key: Hashable, build: Callable, *args):
+        """The structure derived under `key`: `build(*args)` once per system.
+
+        Only structure is memoized (orders, power tables, orbit partitions,
+        orbit grids, the host measure), never a verdict, and no value may
+        refer back to the system, so a system is freed with its memo as soon
+        as its last reference goes.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(*args)
+            return value
+
     def order_s(self) -> int:
         """lcm of the S-cycle lengths (the order of S as a permutation)."""
-        if "S" not in self._order:
-            self._order["S"] = math.lcm(*_cycle_lengths(self.S))
-        return self._order["S"]
+        return self._powers("S")[0]
 
     def order_t(self) -> int:
-        if "T" not in self._order:
-            self._order["T"] = math.lcm(*_cycle_lengths(self.T))
-        return self._order["T"]
+        return self._powers("T")[0]
 
-    def _tables(self, which: str) -> List[Tuple[int, ...]]:
-        """Cached repeated-squaring tables: which^(2^k) for 2^k below its order."""
-        if which not in self._pow2:
-            base = self.S if which == "S" else self.T
-            order = self.order_s() if which == "S" else self.order_t()
-            tables = [base]
-            k = 1
-            while (1 << k) < order:
-                prev = tables[-1]
-                tables.append(tuple(prev[prev[x]] for x in range(self.n)))
-                k += 1
-            self._pow2[which] = tables
-        return self._pow2[which]
+    def _powers(self, which: str) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """The order of S or T and its repeated-squaring tables:
+        which^(2^k) for 2^k below that order."""
+        return self.cached(which, _power_tables, self.S if which == "S" else self.T)
 
     def _apply_power(self, which: str, e: int, x: int) -> int:
-        order = self.order_s() if which == "S" else self.order_t()
+        order, tables = self._powers(which)
         e %= order
-        tables = self._tables(which)
         k = 0
         while e:
             if e & 1:
@@ -152,6 +165,11 @@ class FiniteMPS:
     def group_perm(self, g: GroupElement) -> Tuple[int, ...]:
         """The permutation S^i T^j as an index map."""
         return tuple(self.apply(g, x) for x in range(self.n))
+
+    def orbit_grid(self, x: int) -> Tuple[int, int, Tuple[Tuple[int, ...], ...]]:
+        """(a, b, grid): a and b are the S- and T-cycle lengths at x, and
+        grid[r][s] = S^r T^s x for r < a, s < b."""
+        return self.cached(("grid", x), _grid, self.S, self.T, x)
 
     def cycle_length(self, g: GroupElement, x: int) -> int:
         """Least a > 0 with (S^i T^j)^a x = x; constant along commuting orbits."""
@@ -172,10 +190,6 @@ class FiniteMPS:
 
     def __repr__(self):
         return f"FiniteMPS(n={self.n})"
-
-
-def apply_group(sys: FiniteMPS, g: GroupElement, x: int) -> int:
-    return sys.apply(g, x)
 
 
 def invariant_partition(sys: FiniteMPS, gens: Iterable[GroupElement]) -> Partition:
@@ -201,18 +215,23 @@ def invariant_partition(sys: FiniteMPS, gens: Iterable[GroupElement]) -> Partiti
     return Partition.from_labels([find(x) for x in range(sys.n)])
 
 
+def _orbits(sys: FiniteMPS, *gens: GroupElement) -> Partition:
+    """The orbit partition of the subgroup generated by `gens`, memoized."""
+    return sys.cached(gens, invariant_partition, sys, gens)
+
+
 def partition_s(sys: FiniteMPS) -> Partition:
     """Partition into S-orbits; its saturated sets are the S-invariant sets."""
-    return invariant_partition(sys, [S_GEN])
+    return _orbits(sys, S_GEN)
 
 
 def partition_t(sys: FiniteMPS) -> Partition:
-    return invariant_partition(sys, [T_GEN])
+    return _orbits(sys, T_GEN)
 
 
 def is_ergodic(sys: FiniteMPS) -> bool:
     """True iff the two-generator action is transitive on the support."""
-    return invariant_partition(sys, [S_GEN, T_GEN]).num_blocks == 1
+    return _orbits(sys, S_GEN, T_GEN).num_blocks == 1
 
 
 class FreenessResult(NamedTuple):
@@ -276,9 +295,8 @@ def ergodic_decomposition(sys: FiniteMPS) -> List[ErgodicComponent]:
     Components are returned in order of their smallest point; masses sum to 1
     and mass-weighted conditional measures reassemble the original weights.
     """
-    part = invariant_partition(sys, [S_GEN, T_GEN])
     out = []
-    for block in part.blocks():
+    for block in _orbits(sys, S_GEN, T_GEN).blocks():
         mass = sum((sys.weights[x] for x in block), Fraction(0))
         out.append(
             ErgodicComponent(

@@ -26,7 +26,6 @@ from .core import (
     integrate,
 )
 from .finite import (
-    ErgodicComponent,
     FiniteMPS,
     GroupElement,
     ergodic_decomposition,
@@ -73,7 +72,7 @@ def cond_exp(sys: FiniteMPS, f: Observable, part: Partition) -> Observable:
 
 def invariant_w(sys: FiniteMPS) -> Partition:
     """The joint invariant partition W: common refinement of the S- and T-orbits."""
-    return common_refinement(partition_s(sys), partition_t(sys))
+    return sys.cached("W", common_refinement, partition_s(sys), partition_t(sys))
 
 
 def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
@@ -107,7 +106,6 @@ class HostMeasure:
     they are kept rather than recomputed.
     """
 
-    base: FiniteMPS
     mu_s: SparseMeasure
     mu_st: SparseMeasure
     pairs: Tuple[Tuple[int, int], ...]
@@ -119,8 +117,13 @@ def host_measure(sys: FiniteMPS) -> HostMeasure:
     """Relative independent square of mu_S over the (T x T)-invariant algebra.
 
     mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) for pairs (a,b) and
-    (c,d) in a common (T x T)-orbit C on the support of mu_S.
+    (c,d) in a common (T x T)-orbit C on the support of mu_S.  Built once per
+    system and memoized on it.
     """
+    return sys.cached("host_measure", _build_host_measure, sys)
+
+
+def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
     mu_s = rel_indep_square(sys)
     pairs = tuple(mu_s.support())
     pair_block_of: Dict[Tuple[int, int], int] = {}
@@ -145,7 +148,6 @@ def host_measure(sys: FiniteMPS) -> HostMeasure:
             for q in orbit:
                 entries[p + q] = wp * mu_s.entries[q] / mass
     return HostMeasure(
-        base=sys,
         mu_s=mu_s,
         mu_st=SparseMeasure(4, sys.n, entries),
         pairs=pairs,
@@ -194,7 +196,7 @@ def seminorm_kernel_basis(hm: HostMeasure) -> List[Observable]:
     slots, and the reverse containment is the quartic Cauchy-Schwarz
     inequality applied with indicators (tested separately).
     """
-    n = hm.base.n
+    n = hm.mu_st.n
     row_map: Dict[Tuple[int, int, int], List[Fraction]] = {}
     for quad, w in hm.mu_st.entries.items():
         key = quad[1:]

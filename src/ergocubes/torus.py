@@ -215,6 +215,12 @@ def _check_torus_args(kind: str, observables: Sequence[TrigPoly], N: int):
     check_kind(kind, len(observables))
     if N < 1:
         raise ValueError(f"window size must be positive, got {N}")
+    # |value|, |reference| and their difference are each at most 2B, where B
+    # scales the stated error bound; a B past float range has no such bound.
+    repeat = 4 if kind == "windowed_sn" else 1
+    bound = math.prod(f.sup_bound for f in list(observables) * repeat)
+    if not math.isfinite(2 * bound):
+        raise ValueError("observables too large: twice the product of their sup bounds overflows a float")
 
 
 def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly], x, N: int) -> float:
@@ -226,7 +232,8 @@ def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly
     before it becomes a float.  Error bound: for every N the result is
     within 2**-44 * prod_i f_i.sup_bound of the exact box average at the
     stored rotation amounts and start (for windowed_sn the product is
-    f.sup_bound ** 4).
+    f.sup_bound ** 4).  Raises ValueError when twice that product is not a
+    finite float.
     """
     _check_torus_args(kind, observables, N)
     polys = list(observables) * 4 if kind == "windowed_sn" else observables

@@ -15,15 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .core import Observable, Partition, SparseMeasure, common_refinement, integrate, marginal
 from .finite import (
     FiniteMPS,
     GroupElement,
     S_GEN,
-    T_GEN,
-    apply_group,
     ergodic_decomposition,
     is_ergodic,
     is_free,
@@ -46,11 +44,9 @@ from .joinings import (
 )
 from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
 from .averaging import (
-    _orbit_grid,
     birkhoff_average,
     check_bound_average,
     check_telescoping,
-    cubic_average,
     decompose_and_converge,
     fourfold_average,
     fourfold_average_naive,
@@ -135,7 +131,7 @@ def verify_finite(seed: int, trials: int) -> SuiteResult:
             stepped = sys.S[stepped] if g.i > 0 else s_inv[stepped]
         for _ in range(abs(g.j)):
             stepped = sys.T[stepped] if g.j > 0 else t_inv[stepped]
-        if apply_group(sys, g, x) != stepped:
+        if sys.apply(g, x) != stepped:
             findings.append(f"trial {trial}: power application disagrees with one-step walking")
         free = is_free(sys)
         if not free.free:
@@ -304,7 +300,7 @@ def verify_averaging(seed: int, trials: int) -> SuiteResult:
             findings.append(f"trial {trial}: telescoping identity or bound fails")
         N = rng.randint(1, 6)
         manual = sum(
-            (fs[0].values[apply_group(sys, GroupElement(i, 0), x)] for i in range(N)),
+            (fs[0].values[sys.apply(GroupElement(i, 0), x)] for i in range(N)),
             Fraction(0),
         ) / N
         if birkhoff_average(sys, fs[0], x, [S_GEN], N) != manual:
@@ -319,7 +315,7 @@ def verify_decomposition(seed: int, trials: int) -> SuiteResult:
         sys = random_product_system(rng, max_order=4)
         fs = [_random_observable(rng, sys.n) for _ in range(3)]
         x = rng.randrange(sys.n)
-        a, b, _ = _orbit_grid(sys, x)
+        a, b, _ = sys.orbit_grid(x)
         period = math.lcm(a, b)
         schedule = sorted({max(1, period // 2), period, 2 * period})
         result = decompose_and_converge(sys, *fs, x, schedule)
@@ -388,7 +384,7 @@ def exhaustive_bound_sweep(
     counts the full triples represented.  All arithmetic is integer: the
     bound average^4 <= c * S_N clears to cubic_sum^4 * c.den <= c.num * N^4 * sn_sum.
     """
-    a, b, grid = _orbit_grid(sys, start)
+    a, b, grid = sys.orbit_grid(start)
     flat = sorted({p for row in grid for p in row})
     slot = {p: k for k, p in enumerate(flat)}
     m = len(flat)

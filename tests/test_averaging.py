@@ -304,7 +304,7 @@ class TestDecomposition:
             f1, f2, f3 = (random_observable(rng, sys.n, -1, 1) for _ in range(3))
             x = rng.randrange(sys.n)
             lcm = math.lcm(a, b)
-            result = decompose_and_converge(sys, f1, f2, f3, x, [1, 2, lcm, 2 * lcm])
+            result = decompose_and_converge(sys, f1, f2, f3, x, sorted({1, 2, lcm, 2 * lcm}))
             assert result.exact_sum
             for row in result.rows:
                 assert row.track_a + row.track_b == row.direct
@@ -323,6 +323,13 @@ class TestDecomposition:
         one = Observable.constant(6, 1)
         with pytest.raises(ValueError, match="positive window sizes"):
             decompose_and_converge(sys, one, one, one, 0, [])
+
+    def test_rejects_non_increasing_schedule(self):
+        sys = product_grid(2, 3)
+        one = Observable.constant(6, 1)
+        for schedule in ([2, 2], [4, 3]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                decompose_and_converge(sys, one, one, one, 0, schedule)
 
 
 class TestExhaustiveSweep:

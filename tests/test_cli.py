@@ -237,6 +237,21 @@ class TestAverage:
             assert code == 1 and out == "", term
             assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err, term
 
+    def test_trig_rejects_coefficients_whose_products_overflow(self, capsys):
+        for kind, term in (("fourfold", "1:1e100:0"), ("cubic", "1:1e200:0")):
+            code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", kind,
+                                 "--trig", term, "--schedule", "4")
+            assert code == 1 and out == "", kind
+            assert err.count("\n") == 1 and err.startswith("error: ") and "overflows" in err, kind
+
+    def test_finite_start_outside_the_system(self, capsys):
+        for kind in ("birkhoff_1d", "birkhoff_2d"):
+            for start in ("9", "-1"):
+                code, out, err = run(capsys, "average", "--builtin", "z4-diagonal", "--kind", kind,
+                                     "--observable", "1,0,0,0", "--start", start, "--schedule", "4")
+                assert code == 1 and out == "", (kind, start)
+                assert err == f"error: start point {start} outside 0..3\n", (kind, start)
+
     def test_mixing_observable_styles(self, capsys):
         code, _, err = run(
             capsys,

@@ -13,7 +13,6 @@ from ergocubes.finite import (
     S_GEN,
     SystemFormatError,
     T_GEN,
-    apply_group,
     diagonal_grid,
     ergodic_decomposition,
     invariant_partition,
@@ -93,7 +92,7 @@ class TestAction:
                 expected = sys.S[expected] if g.i > 0 else s_inv[expected]
             for _ in range(abs(g.j)):
                 expected = sys.T[expected] if g.j > 0 else t_inv[expected]
-            assert apply_group(sys, g, x) == expected
+            assert sys.apply(g, x) == expected
             assert sys.group_perm(g)[x] == expected
 
     def test_group_elements_compose(self):

@@ -206,6 +206,17 @@ class TestTorusAverages:
         with pytest.raises(ValueError, match="window size must be positive"):
             torus_average(sys, "birkhoff_1d", [cos1], 0, 0)
 
+    def test_rejects_observables_whose_bound_overflows(self):
+        # |value|, |reference| and the error are each at most 2 * prod sup_bound
+        sys = sqrt23_system()
+        huge = TrigPoly.cosine(1, 2e100)
+        assert math.isfinite(torus_average(sys, "cubic", [huge] * 3, 0, 8))
+        for kind, obs in (("fourfold", [huge] * 4), ("windowed_sn", [huge]), ("cubic", [TrigPoly.cosine(1, 2e200)] * 3)):
+            with pytest.raises(ValueError, match="overflows"):
+                torus_average(sys, kind, obs, 0, 4)
+            with pytest.raises(ValueError, match="overflows"):
+                torus_report(sys, kind, obs, 0, [4])
+
     def test_every_kind_near_its_limit_at_huge_windows(self):
         sys = sqrt23_system()
         rng = Random(421)
