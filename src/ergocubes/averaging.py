@@ -5,7 +5,12 @@ exponents.  On a finite system the point S^i T^j x depends only on
 (i mod a, j mod b), where a and b are the cycle lengths of S and T on the
 orbit of x, and the number of window indices in each residue class has a
 closed form; so each average collapses to a residue-weighted sum whose cost
-does not grow with N.  Literal-loop references (`*_naive`) are kept for
+does not grow with N.  The sums are taken in integers: each observable is
+scaled once per call to integer numerators over one common denominator
+(`common_denominator`), and each returned value is the one `Fraction` of the
+integer sum over the window volume times those denominators.  The S_N sum
+(`sn_sum`) and the cubic row sums (`cubic_rows`) are shared with the
+exhaustive bound sweep.  Literal-loop references (`*_naive`) are kept for
 equality testing.
 """
 
@@ -15,7 +20,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import mul
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
     DimensionError,
@@ -141,24 +147,42 @@ def _check_average_args(sys: FiniteMPS, observables: Sequence[Observable], x: in
             raise DimensionError(f"observable on {f.n} points vs system on {sys.n}")
 
 
+def common_denominator(values: Iterable[Fraction]) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over one denominator, the lcm of theirs."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def cubic_rows(cs: Sequence[int], ct: Sequence[int], g2: Sequence[int], F3: Sequence[Sequence[int]]) -> List[int]:
+    """The S-residue terms cs[r] sum_s ct[s] g2[s] F3[r][s] of the cubic sum;
+    pairing them with f1 on the S-cycle, sum_r g1[r] rows[r], gives N^2
+    times the cubic average."""
+    weights = [t * v for t, v in zip(ct, g2)]
+    return [c * sum(map(mul, weights, row)) for c, row in zip(cs, F3)]
+
+
+def sn_sum(cs: Sequence[int], ct: Sequence[int], F: Sequence[Sequence[int]]) -> int:
+    """N^4 S_N over a grid of integer values: sum_{r,r'} cs[r] cs[r'] corr(r, r')^2
+    with corr(r, r') = sum_s ct[s] F[r][s] F[r'][s].  corr is symmetric, so
+    each pair r < r' is taken once and doubled."""
+    live = [(c, row, [t * v for t, v in zip(ct, row)]) for c, row in zip(cs, F) if c]
+    total = 0
+    for k, (c, row, weighted) in enumerate(live):
+        total += c * c * sum(map(mul, weighted, row)) ** 2
+        total += 2 * c * sum(c2 * sum(map(mul, weighted, row2)) ** 2 for c2, row2, _ in live[k + 1:])
+    return total
+
+
 def cubic_average(sys: FiniteMPS, f1: Observable, f2: Observable, f3: Observable, x: int, N: int) -> Fraction:
     """(1/N^2) sum_{i,j<N} f1(S^i x) f2(T^j x) f3(S^i T^j x), exactly."""
     _check_average_args(sys, (f1, f2, f3), x, N)
     a, b, grid = sys.orbit_grid(x)
-    cs, ct = window_counts(N, a), window_counts(N, b)
-    total = Fraction(0)
-    for r in range(a):
-        if not cs[r]:
-            continue
-        v1 = f1.values[grid[r][0]]
-        if v1 == 0:
-            continue
-        inner = sum(
-            (ct[s] * f2.values[grid[0][s]] * f3.values[grid[r][s]] for s in range(b) if ct[s]),
-            Fraction(0),
-        )
-        total += cs[r] * v1 * inner
-    return total / N**2
+    (u1, d1), (u2, d2), (u3, d3) = (common_denominator(f.values) for f in (f1, f2, f3))
+    F3 = [[u3[p] for p in row] for row in grid]
+    rows = cubic_rows(window_counts(N, a), window_counts(N, b), [u2[p] for p in grid[0]], F3)
+    total = sum(u1[row[0]] * v for row, v in zip(grid, rows))
+    return Fraction(total, N**2 * d1 * d2 * d3)
 
 
 def fourfold_average(
@@ -173,11 +197,10 @@ def fourfold_average(
     _check_average_args(sys, (f0, f1, f2, f3), x, N)
     a, b, grid = sys.orbit_grid(x)
     cs, ct = window_counts(N, a), window_counts(N, b)
-    F = [
-        [[f.values[grid[r][s]] for s in range(b)] for r in range(a)]
-        for f in (f0, f1, f2, f3)
-    ]
-    total = Fraction(0)
+    scaled = [common_denominator(f.values) for f in (f0, f1, f2, f3)]
+    F0, F1, F2, F3 = ([[u[p] for p in row] for row in grid] for u, _ in scaled)
+    shifted = [[ct[(s2 - s) % b] for s2 in range(b)] for s in range(b)]
+    total = 0
     for r in range(a):
         if not cs[r]:
             continue
@@ -185,19 +208,11 @@ def fourfold_average(
             shift = cs[(r2 - r) % a]
             if not shift:
                 continue
-            left = [F[0][r][s] * F[1][r2][s] for s in range(b)]
-            right = [F[2][r][s] * F[3][r2][s] for s in range(b)]
-            inner = Fraction(0)
-            for s in range(b):
-                if not ct[s] or left[s] == 0:
-                    continue
-                acc = sum(
-                    (ct[(s2 - s) % b] * right[s2] for s2 in range(b) if ct[(s2 - s) % b]),
-                    Fraction(0),
-                )
-                inner += ct[s] * left[s] * acc
+            left = [t * u * v for t, u, v in zip(ct, F0[r], F1[r2])]
+            right = list(map(mul, F2[r], F3[r2]))
+            inner = sum(w * sum(map(mul, k, right)) for w, k in zip(left, shifted) if w)
             total += cs[r] * shift * inner
-    return total / N**4
+    return Fraction(total, N**4 * math.prod(d for _, d in scaled))
 
 
 def fourfold_average_naive(
@@ -230,18 +245,9 @@ def windowed_sn(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction:
     """
     _check_average_args(sys, (f,), x, N)
     a, b, grid = sys.orbit_grid(x)
-    cs, ct = window_counts(N, a), window_counts(N, b)
-    F = [[f.values[grid[r][s]] for s in range(b)] for r in range(a)]
-    total = Fraction(0)
-    for r in range(a):
-        if not cs[r]:
-            continue
-        for r2 in range(a):
-            if not cs[r2]:
-                continue
-            corr = sum((ct[s] * F[r][s] * F[r2][s] for s in range(b) if ct[s]), Fraction(0))
-            total += cs[r] * cs[r2] * corr * corr
-    return abs(total) / N**4
+    u, d = common_denominator(f.values)
+    F = [[u[p] for p in row] for row in grid]
+    return Fraction(sn_sum(window_counts(N, a), window_counts(N, b), F), N**4 * d**4)
 
 
 def windowed_sn_naive(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction:
@@ -283,8 +289,9 @@ def birkhoff_average(
                     new_weights.append(w * counts[r])
                 cur = sys.apply(g, cur)
         points, count_weights = new_points, new_weights
-    total = sum((w * f.values[p] for p, w in zip(points, count_weights)), Fraction(0))
-    return total / Fraction(N) ** len(gens)
+    nums, d = common_denominator(f.values)
+    total = sum(w * nums[p] for p, w in zip(points, count_weights))
+    return Fraction(total, N ** len(gens) * d)
 
 
 class BoundCheck(NamedTuple):

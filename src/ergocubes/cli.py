@@ -61,6 +61,25 @@ class CliError(Exception):
     """Configuration or I/O problem; maps to exit code 1."""
 
 
+# Flags whose values may start with '-' ("-1/2,0", "-0.5:0:0", "-1/3").
+_SIGNED_VALUE_FLAGS = ("--observable", "--trig", "--start")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+    """Write `--observable -1/2,0` as `--observable=-1/2,0`.
+
+    argparse takes a separate value that starts with '-' for an option unless
+    it is a plain number.  No option here is spelled with one dash except
+    -h, so a one-dash word after these flags is their value."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which this interface
     # reserves for genuine property violations; remap to 1, as one line.
@@ -466,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(_sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except CliError as exc:
         _sys.stderr.write(f"error: {exc}\n")

@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 from .core import DimensionError, PreconditionError, SparseMeasure
 from .finite import FiniteMPS, GroupElement, S_GEN, T_GEN, is_ergodic, product_system
 from .joinings import S_STAR, T_STAR, apply_rule, diagonal_rule, host_measure, rel_indep_square
-from .averaging import ConvergenceReport, ReportRow, check_schedule, window_counts
+from .averaging import ConvergenceReport, ReportRow, check_schedule, common_denominator, window_counts
 
 _ID = GroupElement(0, 0)
 
@@ -323,43 +323,44 @@ def empirical_unique_ergodicity(
     check_schedule(schedule)
 
     d = len(perms)
-    # Residue boxes per start: the orbit point for each residue tuple, computed once.
+    # Residue boxes per start: the orbit point of every residue tuple, the
+    # first generator's residue outermost, computed once.
     boxes = []
     for x in start_list:
-        lengths = [_perm_cycle_length(p, x) for p in perms]
-        cells = [(x, ())]
+        lengths = tuple(_perm_cycle_length(p, x) for p in perms)
+        points = [x]
         for perm, length in zip(perms, lengths):
             grown = []
-            for point, residues in cells:
-                cur = point
-                for r in range(length):
-                    grown.append((cur, residues + (r,)))
+            for cur in points:
+                for _ in range(length):
+                    grown.append(cur)
                     cur = perm[cur]
-            cells = grown
-        boxes.append((lengths, cells))
+            points = grown
+        boxes.append((lengths, points))
+    ref_nums, ref_den = common_denominator(reference.entries.values())
+    ref = {p: v for (p,), v in zip(reference.entries, ref_nums)}
 
     rows = []
     for N in schedule:
-        worst = Fraction(0)
-        denom = Fraction(N) ** d
-        for x, (lengths, cells) in zip(start_list, boxes):
-            counts = [window_counts(N, length) for length in lengths]
+        # worst: twice the total-variation distance, times N^d * ref_den.
+        # A box's window counts depend only on its cycle lengths.
+        worst = 0
+        volume = N**d
+        box_counts: Dict[Tuple[int, ...], List[int]] = {}
+        for lengths, points in boxes:
+            counts = box_counts.get(lengths)
+            if counts is None:
+                counts = [1]
+                for length in lengths:
+                    counts = [c * k for c in counts for k in window_counts(N, length)]
+                box_counts[lengths] = counts
             hits: Dict[int, int] = {}
-            for point, residues in cells:
-                weight = 1
-                for c, r in zip(counts, residues):
-                    weight *= c[r]
-                if weight:
-                    hits[point] = hits.get(point, 0) + weight
-            keys = set(hits)
-            keys.update(p for (p,) in reference.entries)
-            deviation = sum(
-                (abs(Fraction(hits.get(p, 0)) / denom - reference.entries.get((p,), Fraction(0))) for p in keys),
-                Fraction(0),
-            ) / 2
-            if deviation > worst:
-                worst = deviation
-        rows.append(ReportRow(N=N, value=worst, reference=Fraction(0), abs_error=worst))
+            for point, c in zip(points, counts):
+                hits[point] = hits.get(point, 0) + c
+            deviation = sum(abs(hits.get(p, 0) * ref_den - ref.get(p, 0) * volume) for p in hits.keys() | ref.keys())
+            worst = max(worst, deviation)
+        value = Fraction(worst, 2 * volume * ref_den)
+        rows.append(ReportRow(N=N, value=value, reference=Fraction(0), abs_error=value))
     return ConvergenceReport(
         rows=tuple(rows),
         metadata={"kind": "empirical_unique_ergodicity", "points": m, "generators": d, "starts": len(start_list)},

@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Partition, as_fraction, format_fraction
+from .core import DimensionError, Partition, as_fraction, format_fraction
 
 
 class InvalidSystemError(ValueError):
@@ -166,13 +166,19 @@ class FiniteMPS:
         """The permutation S^i T^j as an index map."""
         return tuple(self.apply(g, x) for x in range(self.n))
 
+    def _check_point(self, x: int):
+        if not (0 <= x < self.n):
+            raise DimensionError(f"start point {x} outside 0..{self.n - 1}")
+
     def orbit_grid(self, x: int) -> Tuple[int, int, Tuple[Tuple[int, ...], ...]]:
         """(a, b, grid): a and b are the S- and T-cycle lengths at x, and
         grid[r][s] = S^r T^s x for r < a, s < b."""
+        self._check_point(x)
         return self.cached(("grid", x), _grid, self.S, self.T, x)
 
     def cycle_length(self, g: GroupElement, x: int) -> int:
         """Least a > 0 with (S^i T^j)^a x = x; constant along commuting orbits."""
+        self._check_point(x)
         y = self.apply(g, x)
         length = 1
         while y != x:

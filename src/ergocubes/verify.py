@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -47,9 +48,11 @@ from .averaging import (
     birkhoff_average,
     check_bound_average,
     check_telescoping,
+    cubic_rows,
     decompose_and_converge,
     fourfold_average,
     fourfold_average_naive,
+    sn_sum,
     window_counts,
     windowed_sn,
     windowed_sn_naive,
@@ -382,7 +385,8 @@ def exhaustive_bound_sweep(
     T-cycle, and f3 on the (i, j) orbit grid, so sweeping all sign patterns on
     those sections covers every +-1 observable triple; the returned `checks`
     counts the full triples represented.  All arithmetic is integer: the
-    bound average^4 <= c * S_N clears to cubic_sum^4 * c.den <= c.num * N^4 * sn_sum.
+    bound average^4 <= c * S_N clears to cubic_sum^4 * c.den <= c.num * N^4 * sn_sum,
+    with both sums taken by the averaging kernels' `sn_sum` and `cubic_rows`.
     """
     a, b, grid = sys.orbit_grid(start)
     flat = sorted({p for row in grid for p in row})
@@ -399,34 +403,20 @@ def exhaustive_bound_sweep(
     violations: List[str] = []
     max_ratio = Fraction(0)
 
+    signs1 = [[1 if (f1_bits >> r) & 1 else -1 for r in range(a)] for f1_bits in range(2**a)]
     for f3_bits in range(2**m):
         signs3 = [1 if (f3_bits >> k) & 1 else -1 for k in range(m)]
         F3 = [[signs3[grid_slot[r][s]] for s in range(b)] for r in range(a)]
         for N in n_values:
             cs, ct = window_counts(N, a), window_counts(N, b)
-            sn = 0
-            for r in range(a):
-                if not cs[r]:
-                    continue
-                for r2 in range(a):
-                    if not cs[r2]:
-                        continue
-                    corr = sum(ct[s] * F3[r][s] * F3[r2][s] for s in range(b))
-                    sn += cs[r] * cs[r2] * corr * corr
+            sn = sn_sum(cs, ct, F3)
             rhs = c.numerator * N**4 * sn
             for f2_bits in range(2**b):
                 signs2 = [1 if (f2_bits >> s) & 1 else -1 for s in range(b)]
-                inner = [
-                    sum(ct[s] * signs2[s] * F3[r][s] for s in range(b))
-                    for r in range(a)
-                ]
-                for f1_bits in range(2**a):
+                rows = cubic_rows(cs, ct, signs2, F3)
+                for f1_bits, sign1 in enumerate(signs1):
                     evaluations += 1
-                    total = 0
-                    for r in range(a):
-                        if cs[r]:
-                            sign1 = 1 if (f1_bits >> r) & 1 else -1
-                            total += cs[r] * sign1 * inner[r]
+                    total = sum(map(mul, sign1, rows))
                     lhs = total**4 * c.denominator
                     if lhs > rhs:
                         violations.append(

@@ -45,6 +45,19 @@ def random_observable(rng, n, lo=-2, hi=2):
     return Observable(tuple(F(rng.randint(lo, hi)) for _ in range(n)))
 
 
+MIXED_VALUES = (F(-2), F(-1, 3), F(0), F(1, 2), F(5, 7))
+
+
+def mixed_observable(rng, n):
+    """Values with distinct denominators, so a wrong common denominator shows."""
+    return Observable(tuple(rng.choice(MIXED_VALUES) for _ in range(n)))
+
+
+def draws(k):
+    """k integer draws (the original cases, unchanged), then k mixed ones."""
+    return [random_observable] * k + [mixed_observable] * k
+
+
 class TestWindowCounts:
     def test_matches_literal_count(self):
         for N in range(1, 20):
@@ -68,9 +81,9 @@ class TestCubicAverage:
 
     def test_matches_literal_double_loop(self):
         rng = Random(311)
-        for _ in range(25):
+        for draw in draws(25):
             sys = random_system(rng)
-            f1, f2, f3 = (random_observable(rng, sys.n) for _ in range(3))
+            f1, f2, f3 = (draw(rng, sys.n) for _ in range(3))
             x = rng.randrange(sys.n)
             N = rng.randint(1, 7)
             total = F(0)
@@ -109,9 +122,9 @@ class TestFourfoldAverage:
 
     def test_matches_naive(self):
         rng = Random(313)
-        for _ in range(15):
+        for draw in draws(15):
             sys = random_system(rng, max_order=3)
-            obs = [random_observable(rng, sys.n) for _ in range(4)]
+            obs = [draw(rng, sys.n) for _ in range(4)]
             x = rng.randrange(sys.n)
             N = rng.randint(1, 4)
             assert fourfold_average(sys, *obs, x, N) == fourfold_average_naive(
@@ -154,9 +167,9 @@ class TestWindowedSn:
 
     def test_matches_naive(self):
         rng = Random(337)
-        for _ in range(15):
+        for draw in draws(15):
             sys = random_system(rng, max_order=3)
-            f = random_observable(rng, sys.n)
+            f = draw(rng, sys.n)
             x = rng.randrange(sys.n)
             N = rng.randint(1, 4)
             assert windowed_sn(sys, f, x, N) == windowed_sn_naive(sys, f, x, N)
@@ -184,9 +197,9 @@ class TestBirkhoffAverage:
 
     def test_matches_literal_box(self):
         rng = Random(349)
-        for _ in range(20):
+        for draw in draws(20):
             sys = random_system(rng)
-            f = random_observable(rng, sys.n)
+            f = draw(rng, sys.n)
             x = rng.randrange(sys.n)
             N = rng.randint(1, 6)
             total = F(0)
@@ -357,8 +370,8 @@ class TestExhaustiveSweep:
         assert sweep.violations == ()
 
     def test_agrees_with_direct_checks_on_decoded_patterns(self):
-        # cross-validate the integer fast path against the Fraction-based
-        # check on a sample of full +-1 observables
+        # cross-validate the sweep against check_bound_average on a sample
+        # of full +-1 observables
         sys = product_grid(2, 2)
         rng = Random(373)
         worst = F(0)
@@ -378,6 +391,11 @@ class TestExhaustiveSweep:
     def test_rejects_bad_windows(self):
         with pytest.raises(ValueError, match="window sizes must be positive"):
             exhaustive_bound_sweep(product_grid(2, 2), [], F(1), 0)
+
+    def test_rejects_start_outside_the_system(self):
+        for start in (-1, 4):
+            with pytest.raises(DimensionError, match=f"start point {start} outside 0\\.\\.3"):
+                exhaustive_bound_sweep(product_grid(2, 2), [2], F(1), start)
 
 
 class TestAverageSpecAndDriver:

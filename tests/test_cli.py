@@ -283,6 +283,27 @@ class TestAverage:
         code, _, err = run(capsys, "average", "--builtin", "z4-diagonal", "--kind", "sextic",
                            "--observable", "1,0,-1,0", "--schedule", "4")
         assert code == 1
+        code, out, err = run(capsys, "average", "--builtin", "z4-diagonal", "--kind", "cubic",
+                             "--observable", "-1,1,1,1", "--schedule", "4", "--bogus")
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --bogus (see ergocubes --help)\n"
+
+    def test_signed_values_as_separate_arguments(self, capsys):
+        # a value starting with '-' after --observable/--trig/--start reads
+        # exactly as the '=' form
+        base = ["average", "--builtin", "grid-2x3", "--kind", "cubic", "--schedule", "4"]
+        ones = ["--observable=1,1,1,1,1,1", "--observable=1,1,1,1,1,1"]
+        joined = run(capsys, *base, "--observable=-1/2,0,0,0,0,0", *ones)
+        separate = run(capsys, *base, "--observable", "-1/2,0,0,0,0,0", *ones)
+        assert separate == joined == (0, "N,value,reference,abs_error\n4,-1/8,,\n", "")
+        torus = ["average", "--builtin", "torus-sqrt23", "--kind", "birkhoff_1d", "--schedule", "4,16"]
+        joined = run(capsys, *torus, "--trig", "1:0.5:0", "--start=-1/3")
+        assert joined[0] == 0 and joined[1].startswith("N,value,reference,abs_error\n4,")
+        assert run(capsys, *torus, "--trig", "1:0.5:0", "--start", "-1/3") == joined
+        for term, message in (("-0.5:0:0", "bad trig term '-0.5:0:0'"), ("-1:0.5:0", "n >= 0")):
+            code, out, err = run(capsys, *torus, "--trig", term)
+            assert (code, out, err) == run(capsys, *torus, f"--trig={term}")
+            assert code == 1 and out == "" and err.count("\n") == 1 and message in err, term
 
     def test_out_file_matches_stdout_and_reruns_identically(self, capsys, tmp_path):
         target = tmp_path / "report.csv"

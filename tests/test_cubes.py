@@ -228,24 +228,28 @@ class TestEmpiricalUniqueErgodicity:
             sys = translation_system(a, b, (rng.randint(0, a - 1), rng.randint(0, b - 1)),
                                      (rng.randint(0, a - 1), rng.randint(0, b - 1)))
             perms = [tuple(sys.S), tuple(sys.T)]
-            ref = SparseMeasure(1, sys.n, {(x,): w for x, w in enumerate(sys.weights)})
+            uniform = SparseMeasure(1, sys.n, {(x,): w for x, w in enumerate(sys.weights)})
+            # 1/2, 1/6, 1/12, ..., 1/((n-1)n) and 1/n: denominators differ
+            skew = [F(1, (k + 1) * (k + 2)) for k in range(sys.n - 1)] + [F(1, sys.n)]
+            skewed = SparseMeasure(1, sys.n, {(x,): w for x, w in enumerate(skew)})
             schedule = sorted({rng.randint(1, 5) for _ in range(3)})
             start = rng.randrange(sys.n)
-            report = empirical_unique_ergodicity(perms, ref, [start], schedule)
-            for row in report.rows:
-                hits = {}
-                for i, j in product(range(row.N), repeat=2):
-                    p = start
-                    for _ in range(i):
-                        p = perms[0][p]
-                    for _ in range(j):
-                        p = perms[1][p]
-                    hits[p] = hits.get(p, 0) + 1
-                tv = sum(
-                    (abs(F(hits.get(x, 0), row.N**2) - sys.weights[x]) for x in range(sys.n)),
-                    F(0),
-                ) / 2
-                assert row.value == tv
+            for ref in (uniform, skewed):
+                report = empirical_unique_ergodicity(perms, ref, [start], schedule)
+                for row in report.rows:
+                    hits = {}
+                    for i, j in product(range(row.N), repeat=2):
+                        p = start
+                        for _ in range(i):
+                            p = perms[0][p]
+                        for _ in range(j):
+                            p = perms[1][p]
+                        hits[p] = hits.get(p, 0) + 1
+                    tv = sum(
+                        (abs(F(hits.get(x, 0), row.N**2) - ref.weight((x,))) for x in range(sys.n)),
+                        F(0),
+                    ) / 2
+                    assert row.value == tv
 
     def test_rejects_bad_inputs(self):
         ref = SparseMeasure(1, 2, {(0,): F(1, 2), (1,): F(1, 2)})

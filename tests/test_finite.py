@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ergocubes.core import DimensionError
 from ergocubes.finite import (
     FiniteMPS,
     GroupElement,
@@ -107,6 +108,17 @@ class TestAction:
         for x in range(sys.n):
             assert sys.cycle_length(S_GEN, x) == 6
             assert sys.cycle_length(T_GEN, x) == 3
+
+    def test_points_outside_the_system_are_rejected(self):
+        sys = product_grid(2, 2)
+        for x in (-1, sys.n):
+            message = f"start point {x} outside 0\\.\\.3"
+            with pytest.raises(DimensionError, match=message):
+                sys.orbit_grid(x)
+            with pytest.raises(DimensionError, match=message):
+                sys.cycle_length(GroupElement(1, 1), x)
+            # nothing was memoized for the rejected point
+            assert sys.cached(("grid", x), lambda: "absent") == "absent"
 
     def test_cycle_length_constant_on_joint_orbits(self):
         rng = Random(13)
