@@ -114,8 +114,10 @@ def check_kind(kind: str, count: int):
 def check_schedule(schedule: Sequence[int]):
     """Reject a schedule that is empty, not strictly increasing, or has a
     window size below 1."""
-    if not schedule or any(n < 1 for n in schedule):
+    if not schedule:
         raise ValueError("schedule must be a nonempty list of positive window sizes")
+    if any(n < 1 for n in schedule):
+        raise ValueError("schedule entries must be positive window sizes")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
 
@@ -138,8 +140,7 @@ def window_counts(N: int, period: int) -> List[int]:
 
 
 def _check_average_args(sys: FiniteMPS, observables: Sequence[Observable], x: int, N: int):
-    if not (0 <= x < sys.n):
-        raise DimensionError(f"start point {x} outside 0..{sys.n - 1}")
+    sys._check_point(x)
     if N < 1:
         raise ValueError(f"window size must be positive, got {N}")
     for f in observables:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core import DimensionError, Observable, PreconditionError, format_fraction
+from .core import Observable, format_fraction
 from .finite import (
     FiniteMPS,
     S_GEN,
@@ -42,7 +43,7 @@ from .finite import (
     z4_diagonal,
 )
 from .joinings import host_measure, is_magic, magic_extension, measurability_check, ExtensionConstructionError
-from .averaging import AVERAGE_KINDS, AverageSpec, run_average
+from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
 from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
 from .verify import SUITES, run_suites
@@ -170,10 +171,7 @@ def _parse_schedule(text: str) -> Tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad schedule {text!r}: {exc}")
-    if not values or any(v < 1 for v in values):
-        raise CliError("schedule entries must be positive")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise CliError("schedule must be strictly increasing")
+    check_schedule(values)
     return values
 
 
@@ -199,7 +197,7 @@ def _load_system_file(path: str) -> FiniteMPS:
             doc = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or undecodable bytes
         raise CliError(f"{path} is not valid JSON: {exc}")
     try:
         return system_from_dict(doc)
@@ -254,47 +252,35 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_average(args) -> int:
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        raise CliError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     system = _load_system(args)
     schedule = _parse_schedule(args.schedule)
     kind = args.kind
-    if isinstance(system, TorusSystem):
+    torus = isinstance(system, TorusSystem)
+    if torus:
         if not args.trig:
             raise CliError("torus averages need at least one --trig observable")
         if args.observable:
             raise CliError("--observable is for finite systems; use --trig on the torus")
-        polys = [_parse_trig(t) for t in args.trig]
-        need = AVERAGE_KINDS.get(kind)
-        if need is None:
-            raise CliError(f"unknown kind {kind!r}")
-        if len(polys) == 1 and need > 1:
-            polys = polys * need
-        if len(polys) != need:
-            raise CliError(f"kind {kind} needs {need} observables, got {len(polys)}")
+        obs = [_parse_trig(t) for t in args.trig]
         start = _parse_fraction(args.start) if args.start else Fraction(0)
-        try:
-            report = torus_report(system, kind, polys, start, schedule)
-        except ValueError as exc:
-            raise CliError(str(exc))
     else:
         if not args.observable:
             raise CliError("finite averages need at least one --observable")
         if args.trig:
             raise CliError("--trig is for the torus; use --observable on finite systems")
         obs = [_parse_observable(o, system.n) for o in args.observable]
-        need = AVERAGE_KINDS.get(kind)
-        if need is None:
-            raise CliError(f"unknown kind {kind!r}")
-        if len(obs) == 1 and need > 1:
-            obs = obs * need
         try:
             start = int(args.start) if args.start else 0
         except ValueError:
             raise CliError(f"finite start must be a point index, got {args.start!r}")
-        try:
-            spec = AverageSpec(kind=kind, observables=tuple(obs), start=start, schedule=schedule)
-            report = run_average(system, spec)
-        except ValueError as exc:
-            raise CliError(str(exc))
+    if len(obs) == 1:
+        obs *= AVERAGE_KINDS[kind]
+    if torus:
+        report = torus_report(system, kind, obs, start, schedule)
+    else:
+        report = run_average(system, AverageSpec(kind=kind, observables=tuple(obs), start=start, schedule=schedule))
     text = report.to_csv() if args.format == "csv" else report.to_text()
     _emit(text, args.out)
     if args.tolerance is not None:
@@ -316,8 +302,6 @@ def cmd_extend(args) -> int:
         raise CliError("extend works on finite systems")
     try:
         ext = magic_extension(system)
-    except PreconditionError as exc:
-        raise CliError(str(exc))
     except ExtensionConstructionError as exc:
         _sys.stderr.write(f"extension failed: {exc}\n")
         return 2
@@ -359,11 +343,7 @@ def cmd_cube(args) -> int:
     if isinstance(system, TorusSystem):
         raise CliError("cube structure reports work on finite systems")
     if args.identify_with:
-        second = _load_system_file(args.identify_with)
-        try:
-            report = product_cube_identification(system, second)
-        except PreconditionError as exc:
-            raise CliError(str(exc))
+        report = product_cube_identification(system, _load_system_file(args.identify_with))
         lines = [
             f"quadruples: {report.cube_size}",
             f"pair spaces: {report.first_pair_size} x {report.second_pair_size}",
@@ -376,10 +356,11 @@ def cmd_cube(args) -> int:
         return 0 if report.identified else 2
     space = cube_space(system)
     orbits = space.orbits()
+    transitive = len(orbits) == 1
     lines = [
         f"quadruples: {space.size}",
         f"transform orbits: {len(orbits)}",
-        f"transitive: {_yesno(space.is_transitive())}",
+        f"transitive: {_yesno(transitive)}",
         f"pair space (S): {two_sided_cube(system, S_GEN).size}",
         f"pair space (T): {two_sided_cube(system, T_GEN).size}",
     ]
@@ -389,17 +370,14 @@ def cmd_cube(args) -> int:
     violation = not support_matches
     if args.schedule:
         schedule = _parse_schedule(args.schedule)
-        if not space.is_transitive():
+        if not transitive:
             raise CliError("empirical comparison against the uniform measure needs a transitive cube space")
         reference = space.uniform_measure()
         try:
             starts = "all" if args.starts == "all" else [int(s) for s in args.starts.split(",")]
         except ValueError:
             raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
-        try:
-            report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
-        except DimensionError as exc:
-            raise CliError(str(exc))
+        report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
         lines.append("empirical deviation from uniform (worst start):")
         for row in report.rows:
             lines.append(f"  N={row.N}: {format_fraction(row.value)} (~{float(row.value):.6f})")
@@ -414,10 +392,7 @@ def cmd_verify(args) -> int:
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITES)
-    try:
-        results = run_suites(names, seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    results = run_suites(names, seed=args.seed, trials=args.trials)
     lines = []
     failures = 0
     for result in results:
@@ -487,7 +462,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(_attach_signed_values(_sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # ValueError covers the library's DimensionError, PreconditionError,
+        # InvalidSystemError and SystemFormatError
         _sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

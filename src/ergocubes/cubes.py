@@ -16,7 +16,17 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .core import DimensionError, PreconditionError, SparseMeasure
-from .finite import FiniteMPS, GroupElement, S_GEN, T_GEN, is_ergodic, product_system
+from .finite import (
+    FiniteMPS,
+    GroupElement,
+    S_GEN,
+    T_GEN,
+    check_commuting,
+    is_ergodic,
+    orbit_partition,
+    perm_cycle,
+    product_system,
+)
 from .joinings import S_STAR, T_STAR, apply_rule, diagonal_rule, host_measure, rel_indep_square
 from .averaging import ConvergenceReport, ReportRow, check_schedule, common_denominator, window_counts
 
@@ -80,25 +90,8 @@ class ActionSpace:
         return perms
 
     def orbits(self) -> List[Tuple[int, ...]]:
-        """Orbits of the transform group on point indices, by first occurrence."""
-        perms = self.transform_permutations()
-        seen = [False] * self.size
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            stack, orbit = [start], []
-            seen[start] = True
-            while stack:
-                cur = stack.pop()
-                orbit.append(cur)
-                for perm in perms:
-                    nxt = perm[cur]
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append(nxt)
-            out.append(tuple(sorted(orbit)))
-        return out
+        """Orbits of the transform group on point indices, by smallest member."""
+        return orbit_partition(self.transform_permutations(), self.size).blocks()
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -132,12 +125,8 @@ def cube_space(sys: FiniteMPS) -> ActionSpace:
 
 def two_sided_cube(sys: FiniteMPS, g: GroupElement) -> ActionSpace:
     """All pairs (x, g^i x), with one side transform and both diagonals."""
-    pairs = set()
-    for x in range(sys.n):
-        y = x
-        for _ in range(sys.cycle_length(g, x)):
-            pairs.add((x, y))
-            y = sys.apply(g, y)
+    perm = sys.group_perm(g)
+    pairs = {(x, y) for x in range(sys.n) for y in perm_cycle(perm, x)}
     transforms = (
         CubeTransform("side", (_ID, g)),
         CubeTransform("diag_s", (S_GEN, S_GEN)),
@@ -268,25 +257,6 @@ def product_cube_identification(first: FiniteMPS, second: FiniteMPS) -> ProductC
     )
 
 
-def _check_commuting_perms(perms: Sequence[Tuple[int, ...]], m: int):
-    for k, perm in enumerate(perms):
-        if sorted(perm) != list(range(m)):
-            raise ValueError(f"generator {k} is not a permutation of 0..{m - 1}")
-    for a in range(len(perms)):
-        for b in range(a + 1, len(perms)):
-            pa, pb = perms[a], perms[b]
-            if any(pa[pb[x]] != pb[pa[x]] for x in range(m)):
-                raise ValueError(f"generators {a} and {b} do not commute")
-
-
-def _perm_cycle_length(perm: Tuple[int, ...], x: int) -> int:
-    length, cur = 1, perm[x]
-    while cur != x:
-        cur = perm[cur]
-        length += 1
-    return length
-
-
 def empirical_unique_ergodicity(
     perms: Sequence[Tuple[int, ...]],
     reference: SparseMeasure,
@@ -307,8 +277,7 @@ def empirical_unique_ergodicity(
     m = reference.n
     if not perms:
         raise ValueError("need at least one generator")
-    perms = [tuple(p) for p in perms]
-    _check_commuting_perms(perms, m)
+    perms = check_commuting(perms, m, [f"generator {k}" for k in range(len(perms))])
     if isinstance(starts, str):
         if starts != "all":
             raise ValueError(f"starts must be 'all' or a list of points, got {starts!r}")
@@ -324,19 +293,14 @@ def empirical_unique_ergodicity(
 
     d = len(perms)
     # Residue boxes per start: the orbit point of every residue tuple, the
-    # first generator's residue outermost, computed once.
+    # first generator's residue outermost, computed once.  The generators
+    # commute, so each one's cycle length is the same at every point of a box.
     boxes = []
     for x in start_list:
-        lengths = tuple(_perm_cycle_length(p, x) for p in perms)
         points = [x]
-        for perm, length in zip(perms, lengths):
-            grown = []
-            for cur in points:
-                for _ in range(length):
-                    grown.append(cur)
-                    cur = perm[cur]
-            points = grown
-        boxes.append((lengths, points))
+        for perm in perms:
+            points = [y for cur in points for y in perm_cycle(perm, cur)]
+        boxes.append((tuple(len(perm_cycle(perm, x)) for perm in perms), points))
     ref_nums, ref_den = common_denominator(reference.entries.values())
     ref = {p: v for (p,), v in zip(reference.entries, ref_nums)}
 

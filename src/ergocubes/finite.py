@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,14 +44,21 @@ S_GEN = GroupElement(1, 0)
 T_GEN = GroupElement(0, 1)
 
 
-def _check_permutation(perm: Sequence[int], n: int, name: str) -> Tuple[int, ...]:
-    perm = tuple(perm)
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise InvalidSystemError(f"bad permutation: {name} is not a permutation of 0..{n - 1}")
-    return perm
+def check_commuting(perms: Sequence[Sequence[int]], n: int, names: Sequence[str]) -> List[Tuple[int, ...]]:
+    """The permutations as tuples, once each is checked to permute 0..n-1 and
+    every two of them to commute; `names` labels them in the errors."""
+    perms = [tuple(perm) for perm in perms]
+    for name, perm in zip(names, perms):
+        if len(perm) != n or sorted(perm) != list(range(n)):
+            raise InvalidSystemError(f"bad permutation: {name} is not a permutation of 0..{n - 1}")
+    for (a, pa), (b, pb) in combinations(zip(names, perms), 2):
+        for x in range(n):
+            if pa[pb[x]] != pb[pa[x]]:
+                raise InvalidSystemError(f"non-commuting: {a} and {b} do not commute at point {x}")
+    return perms
 
 
-def _cycle(perm: Tuple[int, ...], x: int) -> List[int]:
+def perm_cycle(perm: Sequence[int], x: int) -> List[int]:
     """The cycle of `perm` through x, starting at x."""
     out, y = [x], perm[x]
     while y != x:
@@ -63,7 +71,7 @@ def _power_tables(perm: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, ...], ..
     seen, order = set(), 1
     for x in range(len(perm)):
         if x not in seen:
-            cycle = _cycle(perm, x)
+            cycle = perm_cycle(perm, x)
             seen.update(cycle)
             order = math.lcm(order, len(cycle))
     tables = [perm]
@@ -74,8 +82,8 @@ def _power_tables(perm: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, ...], ..
 
 
 def _grid(S: Tuple[int, ...], T: Tuple[int, ...], x: int):
-    grid = [tuple(_cycle(T, x))]
-    for _ in range(len(_cycle(S, x)) - 1):
+    grid = [tuple(perm_cycle(T, x))]
+    for _ in range(len(perm_cycle(S, x)) - 1):
         grid.append(tuple(S[p] for p in grid[-1]))
     return len(grid), len(grid[0]), tuple(grid)
 
@@ -88,8 +96,7 @@ class FiniteMPS:
     def __init__(self, weights: Sequence, S: Sequence[int], T: Sequence[int]):
         weights = [as_fraction(w) for w in weights]
         n = len(weights)
-        S = _check_permutation(S, n, "S")
-        T = _check_permutation(T, n, "T")
+        S, T = check_commuting((S, T), n, ("S", "T"))
         if any(w < 0 for w in weights):
             raise InvalidSystemError("bad weights: negative entry")
         if sum(weights) != 1:
@@ -99,8 +106,6 @@ class FiniteMPS:
                 raise InvalidSystemError(f"non-preserving: weight changes along S at point {x}")
             if weights[T[x]] != weights[x]:
                 raise InvalidSystemError(f"non-preserving: weight changes along T at point {x}")
-            if S[T[x]] != T[S[x]]:
-                raise InvalidSystemError(f"non-commuting: S(T(x)) != T(S(x)) at point {x}")
 
         if any(w == 0 for w in weights):
             # The zero-weight set is S- and T-invariant, so restriction is sound.
@@ -160,6 +165,7 @@ class FiniteMPS:
 
     def apply(self, g: GroupElement, x: int) -> int:
         """Apply S^i T^j to a point, in O(log|i| + log|j|) table lookups."""
+        self._check_point(x)
         return self._apply_power("S", g.i, self._apply_power("T", g.j, x))
 
     def group_perm(self, g: GroupElement) -> Tuple[int, ...]:
@@ -178,7 +184,6 @@ class FiniteMPS:
 
     def cycle_length(self, g: GroupElement, x: int) -> int:
         """Least a > 0 with (S^i T^j)^a x = x; constant along commuting orbits."""
-        self._check_point(x)
         y = self.apply(g, x)
         length = 1
         while y != x:
@@ -198,13 +203,14 @@ class FiniteMPS:
         return f"FiniteMPS(n={self.n})"
 
 
-def invariant_partition(sys: FiniteMPS, gens: Iterable[GroupElement]) -> Partition:
-    """Orbit partition of the subgroup generated by `gens` (union-find).
+def orbit_partition(perms: Iterable[Sequence[int]], n: int) -> Partition:
+    """Orbit partition of the group generated by permutations of 0..n-1
+    (union-find); blocks are ordered by their smallest member.
 
-    Since generators are permutations of a finite set, closing under the
-    forward maps alone already yields the full orbit relation.
+    Since the generators permute a finite set, closing under the forward
+    maps alone already yields the full orbit relation.
     """
-    parent = list(range(sys.n))
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -212,13 +218,17 @@ def invariant_partition(sys: FiniteMPS, gens: Iterable[GroupElement]) -> Partiti
             x = parent[x]
         return x
 
-    for g in gens:
-        perm = sys.group_perm(g)
-        for x in range(sys.n):
+    for perm in perms:
+        for x in range(n):
             rx, ry = find(x), find(perm[x])
             if rx != ry:
                 parent[ry] = rx
-    return Partition.from_labels([find(x) for x in range(sys.n)])
+    return Partition.from_labels([find(x) for x in range(n)])
+
+
+def invariant_partition(sys: FiniteMPS, gens: Iterable[GroupElement]) -> Partition:
+    """Orbit partition of the subgroup generated by `gens`."""
+    return orbit_partition([sys.group_perm(g) for g in gens], sys.n)
 
 
 def _orbits(sys: FiniteMPS, *gens: GroupElement) -> Partition:

@@ -22,10 +22,13 @@ from .core import Observable, Partition, SparseMeasure, common_refinement, integ
 from .finite import (
     FiniteMPS,
     GroupElement,
+    InvalidSystemError,
     S_GEN,
+    check_commuting,
     ergodic_decomposition,
     is_ergodic,
     is_free,
+    perm_cycle,
     product_grid,
     random_ergodic_system,
     random_product_system,
@@ -221,11 +224,10 @@ def verify_cubes(seed: int, trials: int) -> SuiteResult:
         sys = random_system(rng, max_order=3)
         space = cube_space(sys)
         perms = space.transform_permutations()
-        for a in range(len(perms)):
-            for b in range(a + 1, len(perms)):
-                pa, pb = perms[a], perms[b]
-                if any(pa[pb[k]] != pb[pa[k]] for k in range(space.size)):
-                    findings.append(f"trial {trial}: cube transforms {a} and {b} do not commute")
+        try:
+            check_commuting(perms, space.size, [t.name for t in space.transforms])
+        except InvalidSystemError as exc:
+            findings.append(f"trial {trial}: cube transforms: {exc}")
         hm = host_measure(sys)
         if set(hm.mu_st.entries) != set(space.points):
             findings.append(f"trial {trial}: quadruple measure support differs from the cube space")
@@ -235,14 +237,7 @@ def verify_cubes(seed: int, trials: int) -> SuiteResult:
         # empirical engine: exact stabilization at a full period, failure on a
         # deliberately wrong reference
         if space.size >= 2:
-            period = 1
-            for perm in perms:
-                period_here = 1
-                cur = perm[0]
-                while cur != 0:
-                    cur = perm[cur]
-                    period_here += 1
-                period = math.lcm(period, period_here)
+            period = math.lcm(*(len(perm_cycle(perm, 0)) for perm in perms))
             orbit0 = space.orbits()[0]
             mass = Fraction(1, len(orbit0))
             ref = SparseMeasure(arity=1, n=space.size, entries={(k,): mass for k in orbit0})
@@ -481,6 +476,8 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str], seed: int, trials: int) -> List[SuiteResult]:
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     results = []
     for name in names:
         if name not in SUITES:

@@ -82,6 +82,18 @@ class TestAnalyze:
         assert code == 1
         assert "not valid JSON" in err
 
+    def test_undecodable_or_deeply_nested_files(self, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{\x00}\x00")
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000 + "]" * 100000)
+        first = write_system(tmp_path / "s.json", translation_system(5, 1, (1, 0), (0, 0)))
+        for path in (binary, nested):
+            for argv in (["analyze", "--system", str(path)], ["cube", "--system", first, "--identify-with", str(path)]):
+                code, out, err = run(capsys, *argv)
+                assert code == 1 and out == "", argv
+                assert err.count("\n") == 1 and err.startswith(f"error: {path} is not valid JSON: "), argv
+
 
 class TestAverage:
     def test_windowed_golden_csv(self, capsys):
@@ -137,6 +149,17 @@ class TestAverage:
         code, _, err = run(capsys, *base, "--schedule", "1,4", "--tolerance", "0.001")
         assert code == 2
         assert "tolerance breach: worst error 0.875 > 0.001" in err
+
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys):
+        # with --tolerance=nan the 7/8 error at N=1 used to pass, and -1 made
+        # a zero error a breach
+        base = ["average", "--builtin", "z4-diagonal", "--kind", "fourfold",
+                "--observable", "1,0,-1,0", "--schedule", "1"]
+        for value in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, *base, f"--tolerance={value}")
+            assert code == 1 and out == "", value
+            assert err == f"error: --tolerance must be a finite number >= 0, got {float(value)}\n"
+        assert run(capsys, *base, "--tolerance=0")[0] == 2
 
     def test_tolerance_requires_reference(self, capsys):
         code, _, err = run(
@@ -446,6 +469,10 @@ class TestVerify:
         text = target.read_text()
         assert "finite" in text and "joinings" in text
         assert "total failures: 0" in text
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "core", "--trials", "-1")
+        assert (code, out, err) == (1, "", "error: trials must be nonnegative, got -1\n")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonesuch")

@@ -83,6 +83,30 @@ class TestCubeSpace:
                         pb[pa[k]] for k in range(space.size)
                     )
 
+    def test_orbits_match_a_literal_closure(self):
+        # each orbit grown by applying the transforms until nothing new
+        # appears, listed by smallest member with its members sorted
+        rng = Random(229)
+        for _ in range(15):
+            sys = random_system(rng, max_order=3, max_components=3)
+            for space in (cube_space(sys), two_sided_cube(sys, T_GEN)):
+                expected, seen = [], set()
+                for start in range(space.size):
+                    if start in seen:
+                        continue
+                    orbit, frontier = {start}, [space.points[start]]
+                    while frontier:
+                        point = frontier.pop()
+                        for t in space.transforms:
+                            image = space.index_of[space.apply(t.name, point)]
+                            if image not in orbit:
+                                orbit.add(image)
+                                frontier.append(space.points[image])
+                    seen |= orbit
+                    expected.append(tuple(sorted(orbit)))
+                assert space.orbits() == expected
+                assert space.is_transitive() == (len(expected) == 1)
+
     def test_named_moves_act_as_expected_on_z4(self):
         space = cube_space(z4_diagonal())
         assert space.apply("side_s", (0, 1, 2, 3)) == (0, 2, 2, 0)

@@ -31,6 +31,7 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
+from ergocubes.joinings import apply_rule
 
 QUARTER = Fraction(1, 4)
 
@@ -117,6 +118,11 @@ class TestAction:
                 sys.orbit_grid(x)
             with pytest.raises(DimensionError, match=message):
                 sys.cycle_length(GroupElement(1, 1), x)
+            for g in (S_GEN, GroupElement(0, 0)):
+                with pytest.raises(DimensionError, match=message):
+                    sys.apply(g, x)
+            with pytest.raises(DimensionError, match=message):
+                apply_rule(sys, (S_GEN, T_GEN), (0, x))
             # nothing was memoized for the rejected point
             assert sys.cached(("grid", x), lambda: "absent") == "absent"
 

@@ -248,6 +248,22 @@ class TestMagic:
                 ce = cond_exp(sys, basis_vec, invariant_w(sys))
                 assert all(v == 0 for v in ce.values)
 
+    def test_box_seminorm_is_a_norm_seeded(self):
+        # every weight is positive, so the diagonal orbit of each point gives
+        # every indicator a positive seminorm and the seminorm kernel is {0}
+        rng = Random(151)
+        systems = []
+        for _ in range(10):
+            systems.append(random_system(rng, max_order=3, max_components=3))
+            systems.append(random_ergodic_system(rng, max_order=3))
+        systems += [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
+        for sys in systems:
+            hm = host_measure(sys)
+            for x in range(sys.n):
+                assert host_seminorm(hm, Observable.indicator(sys.n, x)).fourth_power > 0
+            assert seminorm_kernel_basis(hm) == []
+            assert is_magic(sys).seminorm_kernel_dim == 0
+
     def test_magic_iff_measurable_pairing_seeded(self):
         # the structural characterization: the seminorm kernel equals the
         # mean-zero space exactly when conditioning the pair measure on the
