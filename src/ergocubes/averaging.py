@@ -21,14 +21,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
     DimensionError,
     Observable,
     PreconditionError,
+    common_denominator,
     format_fraction,
-    integrate,
 )
 from .finite import (
     FiniteMPS,
@@ -40,7 +40,7 @@ from .finite import (
     partition_s,
     partition_t,
 )
-from .joinings import cond_exp, host_measure, host_seminorm, invariant_w, is_magic
+from .joinings import cond_exp, host_integral, host_measure, host_seminorm, invariant_w, is_magic
 
 Value = Union[Fraction, float]
 
@@ -146,13 +146,6 @@ def _check_average_args(sys: FiniteMPS, observables: Sequence[Observable], x: in
     for f in observables:
         if f.n != sys.n:
             raise DimensionError(f"observable on {f.n} points vs system on {sys.n}")
-
-
-def common_denominator(values: Iterable[Fraction]) -> Tuple[List[int], int]:
-    """Rationals as integer numerators over one denominator, the lcm of theirs."""
-    values = list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def cubic_rows(cs: Sequence[int], ct: Sequence[int], g2: Sequence[int], F3: Sequence[Sequence[int]]) -> List[int]:
@@ -432,7 +425,7 @@ def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
     _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
     reference: Optional[Fraction] = None
     if spec.kind == "fourfold":
-        reference = integrate(host_measure(sys).mu_st, spec.observables)
+        reference = host_integral(host_measure(sys), spec.observables)
     elif spec.kind == "windowed_sn":
         reference = host_seminorm(host_measure(sys), spec.observables[0]).fourth_power
     elif spec.kind == "birkhoff_1d":

@@ -27,7 +27,7 @@ import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core import Observable, format_fraction
+from .core import Observable, format_fraction, parse_rational
 from .finite import (
     FiniteMPS,
     S_GEN,
@@ -112,7 +112,7 @@ def _emit(text: str, out: Optional[str]):
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return parse_rational(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"not a p/q rational: {text!r} ({exc})")
 
@@ -242,7 +242,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"kernel dimension: {magic.seminorm_kernel_dim}   mean-zero dimension: {magic.mean_zero_dim}")
         lines.append(f"invariant pairing measurable: {_yesno(measurability_check(system))}")
         lines.append(f"pair support: {len(hm.mu_s.entries)}")
-        lines.append(f"quadruple support: {len(hm.mu_st.entries)}")
+        lines.append(f"quadruple support: {sum(len(orbit) ** 2 for orbit in hm.orbits)}")
         lines.append(f"cube space: {space.size}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -7,9 +7,12 @@ immutable after construction and safe to share between readers.
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class DimensionError(ValueError):
@@ -30,7 +33,26 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact containers; pass a str or Fraction")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
+
+
+def parse_rational(text: str) -> Fraction:
+    """`Fraction(text)`, once any decimal exponent is checked to be at most
+    `sys.int_info.default_max_str_digits` (the longest int string Python
+    converts): `Fraction("1e-999999999")` would build a billion-digit int."""
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
+    if exponent and abs(int(exponent.group(1))) > sys.int_info.default_max_str_digits:
+        raise ValueError(f"decimal exponent above {sys.int_info.default_max_str_digits} in size")
+    return Fraction(text)
+
+
+def common_denominator(values: Iterable[Fraction]) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over one denominator, the lcm of theirs."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def format_fraction(value: Fraction) -> str:
@@ -179,7 +201,6 @@ class SparseMeasure:
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
         clean: Dict[Tuple[int, ...], Fraction] = {}
-        total = Fraction(0)
         for key, w in self.entries.items():
             key = tuple(key)
             if len(key) != self.arity:
@@ -190,9 +211,9 @@ class SparseMeasure:
             if w <= 0:
                 raise ValueError(f"weight of {key} is not positive: {w}")
             clean[key] = w
-            total += w
-        if total != 1:
-            raise ValueError(f"total mass is {total}, expected exactly 1")
+        nums, d = common_denominator(clean.values())
+        if sum(nums) != d:
+            raise ValueError(f"total mass is {Fraction(sum(nums), d)}, expected exactly 1")
         object.__setattr__(self, "entries", clean)
 
     def support(self) -> List[Tuple[int, ...]]:

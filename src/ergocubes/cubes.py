@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from .core import DimensionError, PreconditionError, SparseMeasure
+from .core import DimensionError, PreconditionError, SparseMeasure, common_denominator
 from .finite import (
     FiniteMPS,
     GroupElement,
@@ -28,7 +28,7 @@ from .finite import (
     product_system,
 )
 from .joinings import S_STAR, T_STAR, apply_rule, diagonal_rule, host_measure, rel_indep_square
-from .averaging import ConvergenceReport, ReportRow, check_schedule, common_denominator, window_counts
+from .averaging import ConvergenceReport, ReportRow, check_schedule, window_counts
 
 _ID = GroupElement(0, 0)
 

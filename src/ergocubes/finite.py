@@ -16,7 +16,7 @@ from itertools import combinations
 from random import Random
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import DimensionError, Partition, as_fraction, format_fraction
+from .core import DimensionError, Partition, as_fraction, common_denominator, format_fraction, parse_rational
 
 
 class InvalidSystemError(ValueError):
@@ -99,8 +99,9 @@ class FiniteMPS:
         S, T = check_commuting((S, T), n, ("S", "T"))
         if any(w < 0 for w in weights):
             raise InvalidSystemError("bad weights: negative entry")
-        if sum(weights) != 1:
-            raise InvalidSystemError(f"bad weights: total mass {sum(weights)} != 1")
+        nums, d = common_denominator(weights)
+        if sum(nums) != d:
+            raise InvalidSystemError(f"bad weights: total mass {Fraction(sum(nums), d)} != 1")
         for x in range(n):
             if weights[S[x]] != weights[x]:
                 raise InvalidSystemError(f"non-preserving: weight changes along S at point {x}")
@@ -360,7 +361,7 @@ def system_from_dict(doc: dict) -> FiniteMPS:
     if len(doc["weights"]) != n:
         raise SystemFormatError(f"weights: expected {n} entries, got {len(doc['weights'])}")
     try:
-        weights = [Fraction(str(w)) for w in doc["weights"]]
+        weights = [parse_rational(str(w)) for w in doc["weights"]]
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemFormatError(f"weights: not a p/q rational ({exc})") from exc
     for name in ("S", "T"):

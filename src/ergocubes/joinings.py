@@ -9,21 +9,29 @@ expectation on the joint invariant algebra ("magic" systems).
 
 On finite systems invariant algebras are orbit partitions and conditional
 expectations are block averages, so every identity here is exact.
+
+The four-fold measure factors over the (T x T)-orbits C of supp mu_S, as
+mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) on C x C.  So its
+integrals are sum_C L_C R_C / mu_S(C), summed in ints over one denominator
+at the cost of |supp mu_S| (`host_integral`), and its quadruples are listed
+only on demand (`HostMeasure.mu_st`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
+    DimensionError,
     Observable,
     Partition,
     PreconditionError,
     SparseMeasure,
+    common_denominator,
     common_refinement,
-    integrate,
 )
 from .finite import (
     FiniteMPS,
@@ -83,13 +91,9 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
     integral of f0 x f1 = integral of E(f0|I_S) E(f1|I_S) d mu
     is asserted in tests.
     """
-    part = partition_s(sys)
-    block_mass = [Fraction(0)] * part.num_blocks
-    for x in range(sys.n):
-        block_mass[part.block_of[x]] += sys.weights[x]
     entries: Dict[Tuple[int, ...], Fraction] = {}
-    for block in part.blocks():
-        mass = block_mass[part.block_of[block[0]]]
+    for block in partition_s(sys).blocks():
+        mass = sum((sys.weights[x] for x in block), Fraction(0))
         for x0 in block:
             for x1 in block:
                 entries[(x0, x1)] = sys.weights[x0] * sys.weights[x1] / mass
@@ -98,19 +102,29 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
 
 @dataclass(frozen=True)
 class HostMeasure:
-    """The four-fold joining mu_{S,T} with its supporting structure.
+    """The four-fold joining mu_{S,T}, kept in factored form.
 
-    `pairs` lists the support of mu_S; `pair_block_of` labels each pair with
-    its (T x T)-orbit, and `block_mass` gives the mu_S-mass of each orbit.
-    Those three fields are exactly what the seminorm and magic test need, so
-    they are kept rather than recomputed.
+    `pairs` lists the support of mu_S and `orbits` its (T x T)-orbits, as
+    pair lists; `pair_block_of` labels each pair with its orbit and
+    `block_mass` gives each orbit's mu_S-mass.  These carry all of mu_{S,T};
+    its quadruples, `mu_st`, are built on first access only.
     """
 
     mu_s: SparseMeasure
-    mu_st: SparseMeasure
     pairs: Tuple[Tuple[int, int], ...]
     pair_block_of: Dict[Tuple[int, int], int]
     block_mass: Tuple[Fraction, ...]
+    orbits: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+    @cached_property
+    def mu_st(self) -> SparseMeasure:
+        entries: Dict[Tuple[int, ...], Fraction] = {}
+        for orbit, mass in zip(self.orbits, self.block_mass):
+            for p in orbit:
+                wp = self.mu_s.entries[p]
+                for q in orbit:
+                    entries[p + q] = wp * self.mu_s.entries[q] / mass
+        return SparseMeasure(4, self.mu_s.n, entries)
 
 
 def host_measure(sys: FiniteMPS) -> HostMeasure:
@@ -127,33 +141,42 @@ def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
     mu_s = rel_indep_square(sys)
     pairs = tuple(mu_s.support())
     pair_block_of: Dict[Tuple[int, int], int] = {}
-    block_mass: List[Fraction] = []
-    blocks: List[List[Tuple[int, int]]] = []
+    orbits: List[Tuple[Tuple[int, int], ...]] = []
     for pair in pairs:
         if pair in pair_block_of:
             continue
-        block_id = len(blocks)
         orbit = []
         cur = pair
         while cur not in pair_block_of:
-            pair_block_of[cur] = block_id
+            pair_block_of[cur] = len(orbits)
             orbit.append(cur)
             cur = (sys.T[cur[0]], sys.T[cur[1]])
-        blocks.append(orbit)
-        block_mass.append(sum((mu_s.entries[p] for p in orbit), Fraction(0)))
-    entries: Dict[Tuple[int, ...], Fraction] = {}
-    for orbit, mass in zip(blocks, block_mass):
-        for p in orbit:
-            wp = mu_s.entries[p]
-            for q in orbit:
-                entries[p + q] = wp * mu_s.entries[q] / mass
+        orbits.append(tuple(orbit))
     return HostMeasure(
         mu_s=mu_s,
-        mu_st=SparseMeasure(4, sys.n, entries),
         pairs=pairs,
         pair_block_of=pair_block_of,
-        block_mass=tuple(block_mass),
+        block_mass=tuple(sum((mu_s.entries[p] for p in orbit), Fraction(0)) for orbit in orbits),
+        orbits=tuple(orbits),
     )
+
+
+def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
+    """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}: sum_C L_C R_C / mu_S(C),
+    with L_C, R_C the orbit sums of mu_S(a,b) f1(a) f2(b) and mu_S(a,b) f3(a) f4(b).
+    mu_S, each observable and the 1/mu_S(C) are put over one denominator each."""
+    if len(fs) != 4 or any(f.n != hm.mu_s.n for f in fs):
+        raise DimensionError(f"need 4 observables on {hm.mu_s.n} points")
+    nums, d = common_denominator(hm.mu_s.entries.values())
+    weight = dict(zip(hm.mu_s.entries, nums))
+    inverse_mass, e = common_denominator(1 / mass for mass in hm.block_mass)
+    (f1, d1), (f2, d2), (f3, d3), (f4, d4) = (common_denominator(f.values) for f in fs)
+    total = 0
+    for orbit, inverse in zip(hm.orbits, inverse_mass):
+        left = sum(weight[p] * f1[p[0]] * f2[p[1]] for p in orbit)
+        right = sum(weight[p] * f3[p[0]] * f4[p[1]] for p in orbit)
+        total += left * right * inverse
+    return Fraction(total, d * d * e * d1 * d2 * d3 * d4)
 
 
 class SeminormValue(NamedTuple):
@@ -167,7 +190,7 @@ class SeminormValue(NamedTuple):
 
 def host_seminorm(hm: HostMeasure, f: Observable) -> SeminormValue:
     """|||f|||^4 = integral of f x f x f x f against mu_{S,T} (exact)."""
-    return SeminormValue.of(integrate(hm.mu_st, (f, f, f, f)))
+    return SeminormValue.of(host_integral(hm, (f, f, f, f)))
 
 
 def _mean_zero_basis(sys: FiniteMPS, part: Partition) -> List[Observable]:
@@ -363,10 +386,7 @@ def measurability_check(sys: FiniteMPS) -> bool:
     w_part = invariant_w(sys)
     w_blocks = w_part.blocks()
     w_mass = [sum((sys.weights[x] for x in block), Fraction(0)) for block in w_blocks]
-    orbits: Dict[int, List[Tuple[int, int]]] = {}
-    for pair, block_id in hm.pair_block_of.items():
-        orbits.setdefault(block_id, []).append(pair)
-    for orbit in orbits.values():
+    for orbit in hm.orbits:
         spread: Dict[Tuple[int, int], Fraction] = {}
         for (a, b) in orbit:
             w_ab = hm.mu_s.entries[(a, b)]

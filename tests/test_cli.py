@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import json
+import sys
 
 import pytest
 
@@ -74,6 +75,14 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", "--system", str(path))
             assert code == 1 and out == ""
             assert err == f"error: {path}: {message}\n"
+
+    def test_weight_with_a_huge_decimal_exponent(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "weights": ["1e-999999999", "1"], "S": [0, 1], "T": [0, 1]}))
+        code, out, err = run(capsys, "analyze", "--system", str(path))
+        assert code == 1 and out == ""
+        limit = sys.int_info.default_max_str_digits
+        assert err == f"error: {path}: weights: not a p/q rational (decimal exponent above {limit} in size)\n"
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -223,6 +232,16 @@ class TestAverage:
         )
         assert code == 1
         assert "at least one --observable" in err
+
+    def test_huge_decimal_exponents(self, capsys):
+        for argv in (
+            ["--builtin", "z4-diagonal", "--kind", "cubic", "--observable", "1e-999999999,0,0,0"],
+            ["--builtin", "torus-sqrt23", "--kind", "cubic", "--trig", "1:0.5:0", "--start", "1e999999999"],
+        ):
+            code, out, err = run(capsys, "average", *argv, "--schedule", "4")
+            assert code == 1 and out == "", argv
+            assert err.count("\n") == 1 and err.startswith("error: not a p/q rational: '1e"), argv
+            assert f"decimal exponent above {sys.int_info.default_max_str_digits} in size" in err, argv
 
     def test_torus_average_with_reference(self, capsys):
         code, out, _ = run(

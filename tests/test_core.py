@@ -1,5 +1,6 @@
 """Exact containers: partitions, observables, sparse measures."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +16,7 @@ from ergocubes.core import (
     format_fraction,
     integrate,
     marginal,
+    parse_rational,
 )
 
 
@@ -27,6 +29,22 @@ def test_as_fraction_accepts_exact_inputs():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+def test_parse_rational_bounds_the_decimal_exponent():
+    limit = sys.int_info.default_max_str_digits
+    assert parse_rational(" -2.5e1 ") == Fraction(-25)
+    assert parse_rational("3/6") == Fraction(1, 2)
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", "1e-999999999", "0e+999999999", "2.5e1_000_000"):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse_rational(text)
+        with pytest.raises(ValueError, match="decimal exponent"):
+            as_fraction(text)
+    with pytest.raises(ValueError):  # more exponent digits than int() converts
+        parse_rational("1e" + "9" * (limit + 1))
+    with pytest.raises(ValueError):
+        parse_rational("1/x")
 
 
 def test_format_fraction_always_shows_denominator():

@@ -12,6 +12,7 @@ from random import Random
 
 import pytest
 
+from ergocubes import joinings
 from ergocubes.core import Observable, PreconditionError, integrate, marginal
 from ergocubes.finite import (
     FiniteMPS,
@@ -28,6 +29,7 @@ from ergocubes.finite import (
 )
 from ergocubes.joinings import (
     cond_exp,
+    host_integral,
     host_measure,
     host_seminorm,
     invariant_w,
@@ -116,6 +118,32 @@ class TestQuadrupleMeasure:
                     )
                     pushed[image] = pushed.get(image, F(0)) + mass
                 assert pushed == hm.mu_st.entries
+
+    def test_host_integral_matches_materialized_integrate(self, monkeypatch):
+        # the factored integral against the literal sum over every quadruple,
+        # with signed observables whose denominators differ
+        rng = Random(157)
+        values = (F(-2), F(-1, 3), F(0), F(1, 2), F(5, 7))
+        systems = []
+        for _ in range(15):
+            systems.append(random_system(rng, max_order=3, max_components=3))
+            systems.append(random_ergodic_system(rng, max_order=3))
+        systems += [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
+        cases = []
+        for sys in systems:
+            hm = host_measure(sys)
+            fs = [Observable(tuple(rng.choice(values) for _ in range(sys.n))) for _ in range(4)]
+            assert host_integral(hm, fs) == integrate(hm.mu_st, fs)
+            cases.append((hm, fs))
+        assert len(cases) >= 30
+
+        def largest_denominator(values):
+            values = list(values)
+            d = max(v.denominator for v in values)
+            return [v.numerator * (d // v.denominator) for v in values], d
+
+        monkeypatch.setattr(joinings, "common_denominator", largest_denominator)
+        assert any(host_integral(hm, fs) != integrate(hm.mu_st, fs) for hm, fs in cases)
 
 
 class TestSeminorm:

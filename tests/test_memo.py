@@ -128,3 +128,22 @@ def test_memoized_structure_matches_literal_walks():
         assert partition_s(sys) is partition_s(sys)
         assert invariant_w(sys) is invariant_w(sys)
         assert host_measure(sys) is host_measure(sys)
+
+
+@pytest.mark.parametrize("kind", ["fourfold", "windowed_sn"])
+def test_average_references_leave_the_quadruples_unbuilt(monkeypatch, capsys, kind):
+    built = []
+    original = joinings._build_host_measure
+
+    def recording(sys):
+        built.append(original(sys))
+        return built[-1]
+
+    monkeypatch.setattr(joinings, "_build_host_measure", recording)
+    argv = ["average", "--builtin", "grid-2x3", "--kind", kind, "--observable", "1,-1/3,0,1/2,5/7,-2", "--schedule", "1,6"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("N,value,reference,abs_error\n")
+    (hm,) = built
+    assert "mu_st" not in vars(hm)
+    first = hm.mu_st
+    assert hm.mu_st is first and vars(hm)["mu_st"] is first
