@@ -6,8 +6,8 @@ exponents.  On a finite system the point S^i T^j x depends only on
 orbit of x, and the number of window indices in each residue class has a
 closed form; so each average collapses to a residue-weighted sum whose cost
 does not grow with N.  The sums are taken in integers: each observable is
-scaled once per call to integer numerators over one common denominator
-(`common_denominator`), and each returned value is the one `Fraction` of the
+scaled once, on first use, to integer numerators over one common denominator
+(`Observable.scaled`), and each returned value is the one `Fraction` of the
 integer sum over the window volume times those denominators.  The S_N sum
 (`sn_sum`) and the cubic row sums (`cubic_rows`) are shared with the
 exhaustive bound sweep.  Literal-loop references (`*_naive`) are kept for
@@ -27,7 +27,6 @@ from .core import (
     DimensionError,
     Observable,
     PreconditionError,
-    common_denominator,
     format_fraction,
 )
 from .finite import (
@@ -172,7 +171,7 @@ def cubic_average(sys: FiniteMPS, f1: Observable, f2: Observable, f3: Observable
     """(1/N^2) sum_{i,j<N} f1(S^i x) f2(T^j x) f3(S^i T^j x), exactly."""
     _check_average_args(sys, (f1, f2, f3), x, N)
     a, b, grid = sys.orbit_grid(x)
-    (u1, d1), (u2, d2), (u3, d3) = (common_denominator(f.values) for f in (f1, f2, f3))
+    (u1, d1), (u2, d2), (u3, d3) = f1.scaled, f2.scaled, f3.scaled
     F3 = [[u3[p] for p in row] for row in grid]
     rows = cubic_rows(window_counts(N, a), window_counts(N, b), [u2[p] for p in grid[0]], F3)
     total = sum(u1[row[0]] * v for row, v in zip(grid, rows))
@@ -191,7 +190,7 @@ def fourfold_average(
     _check_average_args(sys, (f0, f1, f2, f3), x, N)
     a, b, grid = sys.orbit_grid(x)
     cs, ct = window_counts(N, a), window_counts(N, b)
-    scaled = [common_denominator(f.values) for f in (f0, f1, f2, f3)]
+    scaled = [f.scaled for f in (f0, f1, f2, f3)]
     F0, F1, F2, F3 = ([[u[p] for p in row] for row in grid] for u, _ in scaled)
     shifted = [[ct[(s2 - s) % b] for s2 in range(b)] for s in range(b)]
     total = 0
@@ -239,7 +238,7 @@ def windowed_sn(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction:
     """
     _check_average_args(sys, (f,), x, N)
     a, b, grid = sys.orbit_grid(x)
-    u, d = common_denominator(f.values)
+    u, d = f.scaled
     F = [[u[p] for p in row] for row in grid]
     return Fraction(sn_sum(window_counts(N, a), window_counts(N, b), F), N**4 * d**4)
 
@@ -283,7 +282,7 @@ def birkhoff_average(
                     new_weights.append(w * counts[r])
                 cur = sys.apply(g, cur)
         points, count_weights = new_points, new_weights
-    nums, d = common_denominator(f.values)
+    nums, d = f.scaled
     total = sum(w * nums[p] for p, w in zip(points, count_weights))
     return Fraction(total, N ** len(gens) * d)
 

@@ -37,6 +37,7 @@ from .finite import (
     ergodic_decomposition,
     is_ergodic,
     is_free,
+    orbit_partition,
     product_grid,
     system_from_dict,
     system_to_dict,
@@ -44,7 +45,7 @@ from .finite import (
 )
 from .joinings import host_measure, is_magic, magic_extension, measurability_check, ExtensionConstructionError
 from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
-from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
+from .cubes import cube_space, cube_space_size, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
 from .verify import SUITES, run_suites
 
@@ -153,6 +154,13 @@ def _parse_trig(text: str) -> TrigPoly:
         raise CliError(f"bad trig observable {text!r}: {exc}")
 
 
+# A report divides by up to N**4 and prints every value in decimal.  With
+# pow2 exponents of at most a quarter of Python's int-string limit,
+# N**4 = 2**(4k) has at most that many bits, so under a third of that many
+# digits, and the printed values stay far inside the limit.
+_MAX_POW2_EXPONENT = _sys.int_info.default_max_str_digits // 4
+
+
 def _parse_schedule(text: str) -> Tuple[int, ...]:
     text = text.strip()
     if text.startswith("pow2:"):
@@ -166,6 +174,8 @@ def _parse_schedule(text: str) -> Tuple[int, ...]:
             raise CliError(f"bad schedule bounds in {text!r}: {exc}")
         if lo < 0 or hi < lo:
             raise CliError(f"bad schedule range in {text!r}")
+        if hi > _MAX_POW2_EXPONENT:
+            raise CliError(f"pow2 exponents above {_MAX_POW2_EXPONENT} are not supported, got {text!r}")
         return tuple(2**k for k in range(lo, hi + 1))
     try:
         values = tuple(int(part) for part in text.split(","))
@@ -222,7 +232,6 @@ def cmd_analyze(args) -> int:
         lines.append(f"generic pair declared: {_yesno(system.generic)}")
     else:
         hm = host_measure(system)
-        space = cube_space(system)
         free = is_free(system)
         magic = is_magic(system)
         lines.append(f"points: {system.n}")
@@ -243,7 +252,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"invariant pairing measurable: {_yesno(measurability_check(system))}")
         lines.append(f"pair support: {len(hm.mu_s.entries)}")
         lines.append(f"quadruple support: {sum(len(orbit) ** 2 for orbit in hm.orbits)}")
-        lines.append(f"cube space: {space.size}")
+        lines.append(f"cube space: {cube_space_size(system)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -355,17 +364,17 @@ def cmd_cube(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if report.identified else 2
     space = cube_space(system)
-    orbits = space.orbits()
-    transitive = len(orbits) == 1
+    perms = space.transform_permutations()
+    orbit_count = orbit_partition(perms, space.size).num_blocks
+    transitive = orbit_count == 1
     lines = [
         f"quadruples: {space.size}",
-        f"transform orbits: {len(orbits)}",
+        f"transform orbits: {orbit_count}",
         f"transitive: {_yesno(transitive)}",
         f"pair space (S): {two_sided_cube(system, S_GEN).size}",
         f"pair space (T): {two_sided_cube(system, T_GEN).size}",
     ]
-    hm = host_measure(system)
-    support_matches = set(hm.mu_st.entries) == set(space.points)
+    support_matches = host_measure(system).quadruple_support() == set(space.points)
     lines.append(f"quadruple measure supported on cube space: {_yesno(support_matches)}")
     violation = not support_matches
     if args.schedule:
@@ -377,7 +386,7 @@ def cmd_cube(args) -> int:
             starts = "all" if args.starts == "all" else [int(s) for s in args.starts.split(",")]
         except ValueError:
             raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
-        report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
+        report = empirical_unique_ergodicity(perms, reference, starts, schedule)
         lines.append("empirical deviation from uniform (worst start):")
         for row in report.rows:
             lines.append(f"  N={row.N}: {format_fraction(row.value)} (~{float(row.value):.6f})")

@@ -12,6 +12,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -157,6 +158,13 @@ class Observable:
     @property
     def sup_norm(self) -> Fraction:
         return max((abs(v) for v in self.values), default=Fraction(0))
+
+    @cached_property
+    def scaled(self) -> Tuple[Tuple[int, ...], int]:
+        """The values as integer numerators over one denominator, computed
+        once per observable (`common_denominator`)."""
+        nums, d = common_denominator(self.values)
+        return tuple(nums), d
 
     def __call__(self, x: int) -> Fraction:
         return self.values[x]

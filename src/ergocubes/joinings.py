@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import (
     DimensionError,
@@ -89,14 +89,16 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
     Supported on pairs within a common S-orbit B, with weight
     w(x0) w(x1) / w(B); its defining property
     integral of f0 x f1 = integral of E(f0|I_S) E(f1|I_S) d mu
-    is asserted in tests.
+    is asserted in tests.  With the weights as integers u over one
+    denominator d, each entry is the one Fraction u(x0) u(x1) / (d u(B)).
     """
+    nums, d = common_denominator(sys.weights)
     entries: Dict[Tuple[int, ...], Fraction] = {}
     for block in partition_s(sys).blocks():
-        mass = sum((sys.weights[x] for x in block), Fraction(0))
+        scale = d * sum(nums[x] for x in block)
         for x0 in block:
             for x1 in block:
-                entries[(x0, x1)] = sys.weights[x0] * sys.weights[x1] / mass
+                entries[(x0, x1)] = Fraction(nums[x0] * nums[x1], scale)
     return SparseMeasure(2, sys.n, entries)
 
 
@@ -104,17 +106,19 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
 class HostMeasure:
     """The four-fold joining mu_{S,T}, kept in factored form.
 
-    `pairs` lists the support of mu_S and `orbits` its (T x T)-orbits, as
-    pair lists; `pair_block_of` labels each pair with its orbit and
-    `block_mass` gives each orbit's mu_S-mass.  These carry all of mu_{S,T};
-    its quadruples, `mu_st`, are built on first access only.
+    `orbits` lists the (T x T)-orbits of the support of mu_S, as pair lists,
+    and `block_mass` gives each orbit's mu_S-mass.  These carry all of
+    mu_{S,T}; its quadruples, `mu_st`, are built on first access only.
     """
 
     mu_s: SparseMeasure
-    pairs: Tuple[Tuple[int, int], ...]
-    pair_block_of: Dict[Tuple[int, int], int]
     block_mass: Tuple[Fraction, ...]
     orbits: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+    def quadruple_support(self) -> Set[Quad]:
+        """supp mu_{S,T}: the quadruples p + q for pairs p, q in one orbit,
+        listed without computing their masses."""
+        return {p + q for orbit in self.orbits for p in orbit for q in orbit}
 
     @cached_property
     def mu_st(self) -> SparseMeasure:
@@ -139,24 +143,23 @@ def host_measure(sys: FiniteMPS) -> HostMeasure:
 
 def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
     mu_s = rel_indep_square(sys)
-    pairs = tuple(mu_s.support())
-    pair_block_of: Dict[Tuple[int, int], int] = {}
+    seen = set()
     orbits: List[Tuple[Tuple[int, int], ...]] = []
-    for pair in pairs:
-        if pair in pair_block_of:
+    for pair in mu_s.support():
+        if pair in seen:
             continue
         orbit = []
         cur = pair
-        while cur not in pair_block_of:
-            pair_block_of[cur] = len(orbits)
+        while cur not in seen:
+            seen.add(cur)
             orbit.append(cur)
             cur = (sys.T[cur[0]], sys.T[cur[1]])
         orbits.append(tuple(orbit))
+    nums, d = common_denominator(mu_s.entries.values())
+    weight = dict(zip(mu_s.entries, nums))
     return HostMeasure(
         mu_s=mu_s,
-        pairs=pairs,
-        pair_block_of=pair_block_of,
-        block_mass=tuple(sum((mu_s.entries[p] for p in orbit), Fraction(0)) for orbit in orbits),
+        block_mass=tuple(Fraction(sum(weight[p] for p in orbit), d) for orbit in orbits),
         orbits=tuple(orbits),
     )
 
@@ -164,13 +167,14 @@ def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
 def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
     """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}: sum_C L_C R_C / mu_S(C),
     with L_C, R_C the orbit sums of mu_S(a,b) f1(a) f2(b) and mu_S(a,b) f3(a) f4(b).
-    mu_S, each observable and the 1/mu_S(C) are put over one denominator each."""
+    mu_S, each observable (`Observable.scaled`) and the 1/mu_S(C) are put over
+    one denominator each."""
     if len(fs) != 4 or any(f.n != hm.mu_s.n for f in fs):
         raise DimensionError(f"need 4 observables on {hm.mu_s.n} points")
     nums, d = common_denominator(hm.mu_s.entries.values())
     weight = dict(zip(hm.mu_s.entries, nums))
     inverse_mass, e = common_denominator(1 / mass for mass in hm.block_mass)
-    (f1, d1), (f2, d2), (f3, d3), (f4, d4) = (common_denominator(f.values) for f in fs)
+    (f1, d1), (f2, d2), (f3, d3), (f4, d4) = (f.scaled for f in fs)
     total = 0
     for orbit, inverse in zip(hm.orbits, inverse_mass):
         left = sum(weight[p] * f1[p[0]] * f2[p[1]] for p in orbit)

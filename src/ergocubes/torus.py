@@ -14,6 +14,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,6 +216,9 @@ def _check_torus_args(kind: str, observables: Sequence[TrigPoly], N: int):
     check_kind(kind, len(observables))
     if N < 1:
         raise ValueError(f"window size must be positive, got {N}")
+    # the kernels multiply floats by N
+    if N > sys.float_info.max:
+        raise ValueError(f"torus window sizes must be at most the largest float, got one of {N.bit_length()} bits")
     # |value|, |reference| and their difference are each at most 2B, where B
     # scales the stated error bound; a B past float range has no such bound.
     repeat = 4 if kind == "windowed_sn" else 1
@@ -233,7 +237,7 @@ def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly
     within 2**-44 * prod_i f_i.sup_bound of the exact box average at the
     stored rotation amounts and start (for windowed_sn the product is
     f.sup_bound ** 4).  Raises ValueError when twice that product is not a
-    finite float.
+    finite float, or when N is above the largest float.
     """
     _check_torus_args(kind, observables, N)
     polys = list(observables) * 4 if kind == "windowed_sn" else observables
@@ -306,7 +310,7 @@ def torus_report(
     system is generic; otherwise values are reported without a reference)."""
     check_schedule(schedule)
     observables = list(observables)
-    _check_torus_args(kind, observables, schedule[0])
+    _check_torus_args(kind, observables, schedule[-1])
     reference: Optional[float] = None
     if system.generic:
         if kind == "cubic":

@@ -228,8 +228,7 @@ def verify_cubes(seed: int, trials: int) -> SuiteResult:
             check_commuting(perms, space.size, [t.name for t in space.transforms])
         except InvalidSystemError as exc:
             findings.append(f"trial {trial}: cube transforms: {exc}")
-        hm = host_measure(sys)
-        if set(hm.mu_st.entries) != set(space.points):
+        if host_measure(sys).quadruple_support() != set(space.points):
             findings.append(f"trial {trial}: quadruple measure support differs from the cube space")
         pairs = two_sided_cube(sys, S_GEN)
         if set(pairs.points) != set(rel_indep_square(sys).entries):

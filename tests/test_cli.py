@@ -207,10 +207,32 @@ class TestAverage:
             ("pow2:9..4", "bad schedule range"),
             ("pow2:x..4", "bad schedule bounds"),
             ("a,b", "bad schedule"),
+            ("pow2:0..2000000", "pow2 exponents above"),
+            ("pow2:20000..20000", "pow2 exponents above"),
         ):
             code, _, err = run(capsys, *base, "--schedule", schedule)
             assert code == 1, schedule
             assert message in err
+
+    def test_largest_pow2_window_prints(self, capsys):
+        # the bound is a quarter of the int-string limit: N**4 has at most that many bits
+        k = sys.int_info.default_max_str_digits // 4
+        argv = ["average", "--builtin", "grid-2x3", "--kind", "fourfold", "--observable", "1,-1/2,0,1/3,-1,5/7"]
+        code, out, _ = run(capsys, *argv, "--schedule", f"pow2:{k}..{k}")
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"{2**k},")
+        code, _, err = run(capsys, *argv, "--schedule", f"pow2:{k + 1}..{k + 1}")
+        assert code == 1 and f"pow2 exponents above {k} " in err
+
+    def test_torus_windows_past_float_range(self, capsys):
+        for kind in ("cubic", "birkhoff_1d"):
+            code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", kind,
+                                 "--trig", "1:0.5:0", "--schedule", "pow2:1030..1030")
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "at most the largest float" in err
+        code, out, _ = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "cubic",
+                           "--trig", "1:0.5:0", "--schedule", "pow2:1023..1023")
+        assert code == 0 and out.splitlines()[1].startswith(f"{2**1023},")
 
     def test_observable_validation(self, capsys):
         code, _, err = run(

@@ -1,4 +1,5 @@
-"""Derandomized fuzzing of the command line: malformed flags and system files.
+"""Derandomized fuzzing of the command line: malformed flags and system files,
+and window sizes at and past what the reports can compute and print.
 
 Whatever the arguments and the system document, `main` returns 0, 1 or 2,
 raises nothing (an escaping exception is a traceback for a user), and an
@@ -105,11 +106,45 @@ def invocations(draw):
     return argv, files
 
 
+# Window extremes: pow2 exponents up to 10**7, which must be refused before
+# any power is built, and windows on both sides of 2**1024, past which a
+# torus kernel would overflow a float.
+extreme_schedules = st.one_of(
+    st.integers(0, 10**7).map(lambda k: f"pow2:{k}..{k}"),
+    st.integers(1020, 1100).map(lambda k: f"pow2:{k - 2}..{k}"),
+    st.integers(1020, 1100).map(lambda k: f"{2**k - 1},{2**k}"),
+)
+OBSERVABLES = {
+    "z4-diagonal": ["--observable", "1,0,-1,0"],
+    "grid-2x3": ["--observable", "1,-1/2,0,1/3,-1,1/2"],
+    "torus-sqrt23": ["--trig", "1:0.5:0;2:0:0.25"],
+}
+
+
+@st.composite
+def extreme_windows(draw):
+    schedule = draw(extreme_schedules)
+    builtin = draw(st.sampled_from(sorted(OBSERVABLES)))
+    if builtin != "torus-sqrt23" and draw(st.booleans()):
+        return ["cube", "--builtin", builtin, "--schedule", schedule], {}
+    kind = draw(st.sampled_from(["cubic", "fourfold", "windowed_sn", "birkhoff_1d", "birkhoff_2d"]))
+    return ["average", "--builtin", builtin, "--kind", kind, "--schedule", schedule] + OBSERVABLES[builtin], {}
+
+
 @settings(derandomize=True, database=None, max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_every_input_gets_an_exit_code_and_at_most_one_error_line(invocation):
-    argv, files = invocation
+    check_exit(*invocation)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(extreme_windows())
+def test_extreme_windows_get_an_exit_code_and_at_most_one_error_line(invocation):
+    check_exit(*invocation)
+
+
+def check_exit(argv, files):
     with tempfile.TemporaryDirectory() as workdir:
         for name, data in files.items():
             with open(os.path.join(workdir, name + ".json"), "wb") as handle:

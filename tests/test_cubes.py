@@ -1,5 +1,6 @@
 """Orbit-tuple spaces, the product identification, and empirical equidistribution."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -11,6 +12,7 @@ from ergocubes.cubes import (
     ActionSpace,
     CubeTransform,
     cube_space,
+    cube_space_size,
     empirical_unique_ergodicity,
     product_cube_identification,
     two_sided_cube,
@@ -21,12 +23,15 @@ from ergocubes.finite import (
     S_GEN,
     T_GEN,
     diagonal_grid,
+    is_ergodic,
+    orbit_partition,
     product_grid,
+    random_ergodic_system,
     random_system,
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import host_measure, rel_indep_square
+from ergocubes.joinings import host_measure, magic_extension, rel_indep_square
 
 F = Fraction
 ID = GroupElement(0, 0)
@@ -34,6 +39,16 @@ ID = GroupElement(0, 0)
 
 def uniform(n):
     return [F(1, n)] * n
+
+
+def seeded_systems(seed, count):
+    """`count` draws each of random_system and random_ergodic_system."""
+    rng = Random(seed)
+    systems = []
+    for _ in range(count):
+        systems.append(random_system(rng, max_order=3, max_components=2))
+        systems.append(random_ergodic_system(rng, max_order=3))
+    return systems
 
 
 class TestCubeSpace:
@@ -61,6 +76,21 @@ class TestCubeSpace:
             sys = random_system(rng)
             space = cube_space(sys)
             assert set(space.points) == set(host_measure(sys).mu_st.entries)
+
+    def test_size_counts_the_listed_space(self):
+        systems = seeded_systems(233, 15)
+        systems += [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
+        assert len(systems) >= 30
+        for sys in systems:
+            assert cube_space_size(sys) == cube_space(sys).size
+
+    def test_orbit_built_support_matches_the_listed_quadruples(self):
+        for sys in seeded_systems(239, 5):
+            hm = host_measure(sys)
+            support = hm.quadruple_support()
+            assert support == set(cube_space(sys).points)
+            assert "mu_st" not in vars(hm)
+            assert support == set(hm.mu_st.entries)
 
     def test_uniform_measure_matches_quadruple_measure_on_transitive_cubes(self):
         for sys in (z4_diagonal(), diagonal_grid(2, 3), product_grid(2, 3)):
@@ -274,6 +304,51 @@ class TestEmpiricalUniqueErgodicity:
                         F(0),
                     ) / 2
                     assert row.value == tv
+
+    def test_all_starts_on_cube_spaces_match_literal_enumeration(self):
+        # The engine evaluates one start per joint orbit when the reference is
+        # invariant (uniform, or constant on each orbit) and every start when
+        # it is not (skewed); the literal walk visits every start every time.
+        transitive = 0
+        for sys in seeded_systems(239, 5):
+            space = cube_space(sys)
+            perms = space.transform_permutations()
+            m, d = space.size, len(perms)
+            orbit_of = orbit_partition(perms, m).block_of
+            transitive += max(orbit_of) == 0
+            # reference masses w[p] / sum(w)
+            references = {
+                "uniform": [1] * m,
+                "per-orbit": [orbit_of[p] + 1 for p in range(m)],
+                "skewed": [p + 1 for p in range(m)],
+            }
+            if m > 1:
+                assert any(p != perm[p] for perm in perms for p in range(m))
+            for name, w in references.items():
+                ref = SparseMeasure(1, m, {(p,): F(v, sum(w)) for p, v in enumerate(w)})
+                if name == "uniform":
+                    assert ref == space.uniform_measure()
+                report = empirical_unique_ergodicity(perms, ref, "all", [1, 2, 3, 4])
+                assert report.metadata["starts"] == m
+                for row in report.rows:
+                    worst = F(0)
+                    for x in range(m):
+                        # g_d^{i_d} ... g_1^{i_1} x for every exponent tuple, stepped out one by one
+                        box = [x]
+                        for perm in perms:
+                            stepped = []
+                            for p in box:
+                                for _ in range(row.N):
+                                    stepped.append(p)
+                                    p = perm[p]
+                            box = stepped
+                        hits = Counter(box)
+                        assert len(box) == row.N**d
+                        volume = row.N**d
+                        tv = F(sum(abs(hits[y] * sum(w) - w[y] * volume) for y in range(m)), 2 * volume * sum(w))
+                        worst = max(worst, tv)
+                    assert row.value == worst, (sys, name, row.N)
+        assert 0 < transitive < 10
 
     def test_rejects_bad_inputs(self):
         ref = SparseMeasure(1, 2, {(0,): F(1, 2), (1,): F(1, 2)})
