@@ -155,8 +155,8 @@ def _parse_trig(text: str) -> TrigPoly:
 
 
 # A report divides by up to N**4 and prints every value in decimal.  With
-# pow2 exponents of at most a quarter of Python's int-string limit,
-# N**4 = 2**(4k) has at most that many bits, so under a third of that many
+# windows of at most 2**k, k a quarter of Python's int-string limit,
+# N**4 <= 2**(4k) has at most that many bits, so under a third of that many
 # digits, and the printed values stay far inside the limit.
 _MAX_POW2_EXPONENT = _sys.int_info.default_max_str_digits // 4
 
@@ -182,6 +182,8 @@ def _parse_schedule(text: str) -> Tuple[int, ...]:
     except ValueError as exc:
         raise CliError(f"bad schedule {text!r}: {exc}")
     check_schedule(values)
+    if values[-1] > 2**_MAX_POW2_EXPONENT:
+        raise CliError(f"schedule windows above 2**{_MAX_POW2_EXPONENT} are not supported")
     return values
 
 

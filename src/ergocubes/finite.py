@@ -256,36 +256,58 @@ class FreenessResult(NamedTuple):
     witness: Optional[Tuple[int, int]]  # (i, j) with S^i T^j = identity when not free
 
 
+def _meet(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """The intersection of two lattices in triangular form, where (p, q, r)
+    stands for {(i, j) : p | i, j = (i/p)·q mod r}."""
+    (p1, q1, r1), (p2, q2, r2) = a, b
+    lcm_p, g = math.lcm(p1, p2), math.gcd(r1, r2)
+    u1, u2 = lcm_p // p1 * q1, lcm_p // p2 * q2
+    # i = k·lcm_p needs j = k·u1 mod r1 and j = k·u2 mod r2: solvable iff
+    # k·(u1 - u2) = 0 mod g, i.e. k a multiple of g / gcd(u1 - u2, g).
+    k = g // math.gcd(u1 - u2, g)
+    u1, u2 = k * u1, k * u2
+    # Chinese remainders for the two congruences, which agree mod g.
+    t = (u2 - u1) // g * pow(r1 // g, -1, r2 // g) % (r2 // g)
+    r = r1 // g * r2
+    return k * lcm_p, (u1 + r1 * t) % r, r
+
+
 def is_free(sys: FiniteMPS) -> FreenessResult:
-    """Exhaustive freeness check over the fundamental window.
+    """Freeness decided from the stabilizer lattice L = {(i, j) : S^i T^j = id}.
 
     The action is called free when S^i T^j is the identity only for
-    (i, j) = (0, 0) with 0 <= i < ord(S), 0 <= j < ord(T); permutation powers
-    are periodic with exactly these periods, so checking the window decides
-    every (i, j) with (i mod ord S, j mod ord T) != (0, 0).  A trivial
-    generator (ord = 1) is a degenerate failure witnessed by (1,0) or (0,1).
+    (i, j) = (0, 0) with 0 <= i < ord(S), 0 <= j < ord(T), i.e. when L is
+    ord(S)·Z x ord(T)·Z.  A trivial generator (ord = 1) is a degenerate
+    failure witnessed by (1, 0) or (0, 1).
+
+    S and T commute, so the stabilizer of a point is constant on its joint
+    orbit; take one point x per orbit.  With r the T-cycle length at x, p the
+    least i >= 1 with S^i x in the T-orbit of x, and S^p x = T^e x, that
+    stabilizer is {(i, j) : p | i, j = (i/p)·q mod r} with q = -e mod r.  L
+    is the intersection of these over the orbits, which keeps the same
+    triangular form: r becomes lcm of the T-cycle lengths, ord(T), and p the
+    least i >= 1 with some (i, j) in L.  Since (ord(S), 0) is in L, p divides
+    ord(S), and the action is free exactly when p = ord(S).  Otherwise the
+    witness is (p, q mod r): the least such i, with the least j >= 0 for it.
+    The cost is one walk over the points plus integer arithmetic per orbit.
     """
     if sys.order_s() == 1:
         return FreenessResult(False, (1, 0))
     if sys.order_t() == 1:
         return FreenessResult(False, (0, 1))
-    identity = tuple(range(sys.n))
-    # S^i T^j = id  iff  T^j = S^{-i}; index the T-powers once.
-    t_powers: Dict[Tuple[int, ...], int] = {}
-    perm = identity
-    for j in range(sys.order_t()):
-        t_powers.setdefault(perm, j)
-        perm = tuple(sys.T[x] for x in perm)
-    perm = identity
-    s_inv = [0] * sys.n
-    for x in range(sys.n):
-        s_inv[sys.S[x]] = x
-    for i in range(sys.order_s()):
-        j = t_powers.get(perm)
-        if j is not None and (i, j) != (0, 0):
-            return FreenessResult(False, (i, j))
-        perm = tuple(s_inv[x] for x in perm)  # now perm = S^{-(i+1)}
-    return FreenessResult(True, None)
+    lattice = (1, 0, 1)  # all of Z^2
+    for block in _orbits(sys, S_GEN, T_GEN).blocks():
+        x = block[0]
+        t_index = {y: e for e, y in enumerate(perm_cycle(sys.T, x))}
+        p, y = 1, sys.S[x]
+        while y not in t_index:
+            p, y = p + 1, sys.S[y]
+        r = len(t_index)
+        lattice = _meet(lattice, (p, -t_index[y] % r, r))
+    p, q, _ = lattice
+    if p == sys.order_s():
+        return FreenessResult(True, None)
+    return FreenessResult(False, (p, q))
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,17 @@ class TestAverage:
         code, _, err = run(capsys, *argv, "--schedule", f"pow2:{k + 1}..{k + 1}")
         assert code == 1 and f"pow2 exponents above {k} " in err
 
+    def test_largest_listed_window(self, capsys):
+        k = sys.int_info.default_max_str_digits // 4
+        argv = ["average", "--builtin", "z4-diagonal", "--kind", "fourfold", "--observable", "1,0,-1,1/2"]
+        code, out, _ = run(capsys, *argv, "--schedule", f"4,{2**k}")
+        assert code == 0
+        assert out.splitlines()[2].startswith(f"{2**k},")
+        for schedule in (f"4,{2**k + 1}", f"4,{10**1200 + 1}"):
+            code, out, err = run(capsys, *argv, "--schedule", schedule)
+            assert code == 1 and out == ""
+            assert err == f"error: schedule windows above 2**{k} are not supported\n"
+
     def test_torus_windows_past_float_range(self, capsys):
         for kind in ("cubic", "birkhoff_1d"):
             code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", kind,

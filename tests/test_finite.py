@@ -1,6 +1,8 @@
 """Finite systems: validation, group action, transitivity, freeness, serialization."""
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +11,7 @@ import pytest
 from ergocubes.core import DimensionError
 from ergocubes.finite import (
     FiniteMPS,
+    FreenessResult,
     GroupElement,
     InvalidSystemError,
     S_GEN,
@@ -31,7 +34,7 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import apply_rule
+from ergocubes.joinings import apply_rule, magic_extension
 
 QUARTER = Fraction(1, 4)
 
@@ -219,7 +222,106 @@ class TestErgodicity:
         assert [c.support for c in comps] == [(0, 1), (2, 3)]
 
 
+def _is_free_brute(sys: FiniteMPS) -> FreenessResult:
+    """Reference: tabulate T's powers and walk S's, over the whole window
+    0 <= i < ord(S), 0 <= j < ord(T); returns the least i >= 1, then the
+    least j >= 0, with S^i T^j = id."""
+    if sys.order_s() == 1:
+        return FreenessResult(False, (1, 0))
+    if sys.order_t() == 1:
+        return FreenessResult(False, (0, 1))
+    identity = tuple(range(sys.n))
+    # S^i T^j = id  iff  T^j = S^{-i}; index the T-powers once.
+    t_powers = {}
+    perm = identity
+    for j in range(sys.order_t()):
+        t_powers.setdefault(perm, j)
+        perm = tuple(sys.T[x] for x in perm)
+    perm = identity
+    s_inv = [0] * sys.n
+    for x in range(sys.n):
+        s_inv[sys.S[x]] = x
+    for i in range(sys.order_s()):
+        j = t_powers.get(perm)
+        if j is not None and (i, j) != (0, 0):
+            return FreenessResult(False, (i, j))
+        perm = tuple(s_inv[x] for x in perm)  # now perm = S^{-(i+1)}
+    return FreenessResult(True, None)
+
+
+def _disjoint_union(pieces):
+    """The pieces side by side, each point weighted 1/n."""
+    S, T = [], []
+    for piece in pieces:
+        S += [len(S) + y for y in piece.S]
+        T += [len(T) + y for y in piece.T]
+    return FiniteMPS([Fraction(1, len(S))] * len(S), S, T)
+
+
+def _cycles_system(lengths):
+    """S = T, one cycle of each length."""
+    perm = []
+    for length in lengths:
+        perm += [len(perm) + (k + 1) % length for k in range(length)]
+    return FiniteMPS([Fraction(1, len(perm))] * len(perm), perm, perm)
+
+
+def _freeness_oracle_systems():
+    rng = Random(61)
+    for _ in range(400):
+        yield random_system(rng, max_order=4, max_components=3)
+    for _ in range(150):
+        yield random_ergodic_system(rng)
+    for _ in range(15):
+        yield magic_extension(random_ergodic_system(rng, max_order=3)).system
+    for n in range(1, 9):
+        for t in range(n):
+            yield translation_system(n, 1, (1, 0), (t, 0))
+    for a in range(1, 5):
+        for b in range(1, 5):
+            yield product_grid(a, b)
+            yield diagonal_grid(a, b)
+    for _ in range(500):
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            s = (rng.randrange(a), rng.randrange(b))
+            t = (rng.randrange(a), rng.randrange(b))
+            pieces.append(translation_system(a, b, s, t))
+        yield _disjoint_union(pieces)
+
+
 class TestFreeness:
+    def test_equals_brute_force_reference(self):
+        systems = list(_freeness_oracle_systems())
+        assert len(systems) >= 1000
+        not_free = 0
+        for sys in systems:
+            expected = _is_free_brute(sys)
+            assert is_free(sys) == expected, (sys.S, sys.T)
+            not_free += not expected.free
+        # both verdicts are well represented
+        assert 200 <= not_free <= len(systems) - 200
+
+    def test_no_table_sized_by_the_order(self):
+        sys = _cycles_system((2, 3, 5, 7, 11, 13))   # order 30,030 on 41 points
+        tracemalloc.start()
+        try:
+            result = is_free(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == FreenessResult(False, (1, 30029))
+        assert peak < 2**20
+
+    def test_order_above_10_to_the_8_is_fast(self):
+        sys = _cycles_system((2, 3, 5, 7, 11, 13, 17, 19, 23))
+        assert sys.n == 100
+        begin = time.perf_counter()
+        result = is_free(sys)
+        assert time.perf_counter() - begin < 0.5
+        assert result == FreenessResult(False, (1, 223092869))
+
     def test_z4_not_free(self):
         result = is_free(z4_diagonal())
         assert not result.free
