@@ -27,6 +27,7 @@ from .core import (
     DimensionError,
     Observable,
     PreconditionError,
+    as_fraction,
     format_fraction,
 )
 from .finite import (
@@ -322,25 +323,12 @@ class TelescopingCheck(NamedTuple):
 
 def check_telescoping(a: Sequence, b: Sequence) -> TelescopingCheck:
     """Verify prod a - prod b = sum_i a_1..a_{i-1} (a_i - b_i) b_{i+1}..b_n."""
-    a = [Fraction(v) if not isinstance(v, Fraction) else v for v in a]
-    b = [Fraction(v) if not isinstance(v, Fraction) else v for v in b]
+    a = [as_fraction(v) for v in a]
+    b = [as_fraction(v) for v in b]
     if len(a) != len(b):
         raise DimensionError(f"sequence lengths differ: {len(a)} != {len(b)}")
-    prod_a = Fraction(1)
-    for v in a:
-        prod_a *= v
-    prod_b = Fraction(1)
-    for v in b:
-        prod_b *= v
-    lhs = prod_a - prod_b
-    rhs = Fraction(0)
-    for i in range(len(a)):
-        term = a[i] - b[i]
-        for v in a[:i]:
-            term *= v
-        for v in b[i + 1:]:
-            term *= v
-        rhs += term
+    lhs = math.prod(a) - math.prod(b)
+    rhs = sum(math.prod(a[:i]) * (a[i] - b[i]) * math.prod(b[i + 1:]) for i in range(len(a)))
     identity = lhs == rhs
     bound = None
     if all(abs(v) <= 1 for v in a) and all(abs(v) <= 1 for v in b):
@@ -376,6 +364,7 @@ def decompose_and_converge(
     squeezes the second track to zero.
     """
     check_schedule(schedule)
+    _check_average_args(sys, (f1, f2, f3), x, max(schedule))
     failures = []
     if not is_magic(sys).is_magic:
         failures.append("not magic")
@@ -385,7 +374,6 @@ def decompose_and_converge(
         failures.append("not free")
     if failures:
         raise PreconditionError("decompose_and_converge requires a magic ergodic free system; this one is " + ", ".join(failures))
-    _check_average_args(sys, (f1, f2, f3), x, max(schedule))
 
     w_part = invariant_w(sys)
     structured = cond_exp(sys, f3, w_part)

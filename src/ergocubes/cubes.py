@@ -11,6 +11,7 @@ approach a reference measure under any commuting tuple of permutations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
@@ -24,10 +25,12 @@ from .finite import (
     check_commuting,
     is_ergodic,
     orbit_partition,
+    partition_s,
+    partition_t,
     perm_cycle,
     product_system,
 )
-from .joinings import S_STAR, T_STAR, apply_rule, diagonal_rule, host_measure, rel_indep_square
+from .joinings import S_STAR, T_STAR, apply_rule, cube_over, diagonal_rule, host_measure, rel_indep_square
 from .averaging import ConvergenceReport, ReportRow, check_schedule, window_counts
 
 _ID = GroupElement(0, 0)
@@ -104,30 +107,25 @@ class ActionSpace:
 
 
 def cube_space(sys: FiniteMPS) -> ActionSpace:
-    """All quadruples (x, S^i x, T^j x, S^i T^j x), with the four-transform action.
-
-    Exponents only matter modulo the cycle lengths of S and T on the orbit of
-    x, so ranging i < a_x and j < b_x enumerates everything.
-    """
-    quads = set()
-    for x in range(sys.n):
-        _, _, grid = sys.orbit_grid(x)
-        for row in grid:
-            quads.update((x, row[0], t, st) for t, st in zip(grid[0], row))
+    """All quadruples (x, S^i x, T^j x, S^i T^j x), with the four-transform
+    action: the cubes over every point, in order."""
     transforms = (
         CubeTransform("side_s", S_STAR),
         CubeTransform("side_t", T_STAR),
         CubeTransform("diag_s", diagonal_rule(S_GEN)),
         CubeTransform("diag_t", diagonal_rule(T_GEN)),
     )
-    return ActionSpace(base=sys, points=tuple(sorted(quads)), transforms=transforms)
+    points = tuple(q for x in range(sys.n) for q in cube_over(sys, x))
+    return ActionSpace(base=sys, points=points, transforms=transforms)
 
 
 def cube_space_size(sys: FiniteMPS) -> int:
-    """The size of `cube_space(sys)`, without listing it: the pair
-    (S^i x, T^j x) fixes i mod a_x and j mod b_x, so each x contributes
-    a_x b_x quadruples."""
-    return sum(a * b for a, b, _ in map(sys.orbit_grid, range(sys.n)))
+    """The size of `cube_space(sys)`, without listing it: the cube over x
+    has |S-orbit(x)| |T-orbit(x)| quadruples, read from the orbit
+    partitions' block sizes."""
+    p_s, p_t = partition_s(sys), partition_t(sys)
+    s_size, t_size = Counter(p_s.block_of), Counter(p_t.block_of)
+    return sum(s_size[s] * t_size[t] for s, t in zip(p_s.block_of, p_t.block_of))
 
 
 def two_sided_cube(sys: FiniteMPS, g: GroupElement) -> ActionSpace:

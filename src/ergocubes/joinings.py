@@ -3,9 +3,9 @@
 The central objects: the relative independent square of mu over the algebra
 of S-invariant sets, the four-fold measure obtained by repeating that
 construction over the (T x T)-invariant algebra, the quartic seminorm that
-measure induces, and the extension-by-components construction that turns any
-ergodic system into one where the seminorm characterizes conditional
-expectation on the joint invariant algebra ("magic" systems).
+measure induces, and the magic extension, which turns any ergodic system
+into one where the seminorm characterizes conditional expectation on the
+joint invariant algebra ("magic" systems).
 
 On finite systems invariant algebras are orbit partitions and conditional
 expectations are block averages, so every identity here is exact.
@@ -15,6 +15,18 @@ mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) on C x C.  So its
 integrals are sum_C L_C R_C / mu_S(C), summed in ints over one denominator
 at the cost of |supp mu_S| (`host_integral`), and its quadruples are listed
 only on demand (`HostMeasure.mu_st`).
+
+The magic extension needs none of mu_{S,T}.  Host's construction splits it
+into ergodic components under S* = id x S x id x S and T* = id x id x T x T,
+and on a finite ergodic base these are known in closed form:
+- every point of supp mu_{S,T} is a cube (x, S^i x, T^j x, S^i T^j x);
+- S* and T* fix x and move (i, j) to (i+1, j) and (i, j+1), so the
+  components are exactly the n fibers, the cubes over each x (`cube_over`);
+- the fiber over x has mass w(x) and conditional weights 1/(a b), a and b
+  the S- and T-cycle lengths, and an ergodic base has uniform weights;
+- g x g x g x g maps the fiber over x onto the fiber over g x and commutes
+  with S* and T*, so every fiber gets the same verdicts, and ordering by
+  decreasing mass, then smallest support, picks point 0 whenever any passes.
 """
 
 from __future__ import annotations
@@ -36,7 +48,6 @@ from .core import (
 from .finite import (
     FiniteMPS,
     GroupElement,
-    ergodic_decomposition,
     is_ergodic,
     is_free,
     partition_s,
@@ -62,6 +73,14 @@ def diagonal_rule(g: GroupElement) -> Tuple[GroupElement, ...]:
 
 def apply_rule(sys: FiniteMPS, rule: Tuple[GroupElement, ...], point: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(sys.apply(g, x) for g, x in zip(rule, point))
+
+
+def cube_over(sys: FiniteMPS, x: int) -> List[Quad]:
+    """The cube over x: the quadruples (x, S^i x, T^j x, S^i T^j x) for
+    i < a_x and j < b_x, sorted.  The pair (S^i x, T^j x) fixes i mod a_x
+    and j mod b_x, so there are a_x b_x of them."""
+    _, _, grid = sys.orbit_grid(x)
+    return sorted((x, row[0], t, st) for row in grid for t, st in zip(grid[0], row))
 
 
 def cond_exp(sys: FiniteMPS, f: Observable, part: Partition) -> Observable:
@@ -280,10 +299,10 @@ def is_magic(sys: FiniteMPS) -> MagicReport:
 
 
 class ExtensionConstructionError(RuntimeError):
-    """No component of the four-fold system passed the required checks.
+    """The fiber over point 0, and with it every fiber, failed the checks.
 
     This should never fire on a valid ergodic input; if it does, the
-    per-component reasons carried in the message are the bug report.
+    reasons carried in the message are the bug report.
     """
 
 
@@ -310,71 +329,44 @@ class MagicExtension:
 def magic_extension(sys: FiniteMPS) -> MagicExtension:
     """Build a magic, ergodic extension of an ergodic system.
 
-    The four-fold measure with the coordinate maps (S*, T*) = (id x S x id x S,
-    id x id x T x T) is an extension of the base via the last coordinate;
-    decomposing it into components of the (S*, T*) action and selecting a
-    component that is magic (and free, whenever the base has nontrivial S and
-    T) yields the required system.  Components are tried by decreasing mass,
-    ties broken by lexicographically smallest support.
+    Host's extension is a component of mu_{S,T} under (S*, T*) that is magic
+    (and free, whenever the base has nontrivial S and T), mapped onto the
+    base by the last coordinate.  The components are the fibers over the
+    first coordinate: S* and T* fix it and move the cube (x, S^i x, T^j x,
+    S^i T^j x) to (i+1, j) and (i, j+1).  The fiber over x has mass w(x) and
+    weights 1/(a b), and g x g x g x g carries it onto the fiber over g x,
+    commuting with S* and T*, so all fibers get the same verdicts and the
+    first by decreasing mass, then smallest support, is the one over point 0.
+    Only that cube is built and checked, at a cost of a b, not n a b; the
+    summary keeps one row per base point, the others "not evaluated".
     """
     if not is_ergodic(sys):
         raise PreconditionError("magic_extension requires an ergodic base system")
-    hm = host_measure(sys)
-    quads: List[Quad] = sorted(hm.mu_st.entries)
+    quads = cube_over(sys, 0)
     index = {q: k for k, q in enumerate(quads)}
-    weights = [hm.mu_st.entries[q] for q in quads]
-    s_perm = [index[apply_rule(sys, S_STAR, q)] for q in quads]
-    t_perm = [index[apply_rule(sys, T_STAR, q)] for q in quads]
-    big = FiniteMPS(weights, s_perm, t_perm)
-
-    identity = tuple(range(sys.n))
-    freeness_required = sys.S != identity and sys.T != identity
-
-    components = ergodic_decomposition(big)
-    order = sorted(range(len(components)), key=lambda k: (-components[k].mass, components[k].support))
-    summaries: List[Optional[ComponentSummary]] = [None] * len(components)
-    chosen: Optional[Tuple[int, FiniteMPS]] = None
-    for k in order:
-        comp = components[k]
-        if chosen is not None:
-            summaries[k] = ComponentSummary(len(comp.support), comp.mass, None, None, False, "not evaluated")
-            continue
-        sub = comp.subsystem(big)
-        magic_report = is_magic(sub)
-        free_result = is_free(sub)
-        ok = magic_report.is_magic and (free_result.free or not freeness_required)
-        if ok:
-            chosen = (k, sub)
-            summaries[k] = ComponentSummary(len(comp.support), comp.mass, magic_report.is_magic, free_result.free, True, None)
-        else:
-            reasons = []
-            if not magic_report.is_magic:
-                reasons.append("not magic")
-            if freeness_required and not free_result.free:
-                reasons.append(f"not free (witness {free_result.witness})")
-            summaries[k] = ComponentSummary(
-                len(comp.support), comp.mass, magic_report.is_magic, free_result.free, False, ", ".join(reasons)
-            )
-    if chosen is None:
-        lines = [
-            f"component size={s.size} mass={s.mass}: {s.rejection}"
-            for s in summaries
-            if s is not None
-        ]
+    fiber = FiniteMPS(
+        [Fraction(1, len(quads))] * len(quads),
+        [index[apply_rule(sys, S_STAR, q)] for q in quads],
+        [index[apply_rule(sys, T_STAR, q)] for q in quads],
+    )
+    magic, free = is_magic(fiber).is_magic, is_free(fiber)
+    reasons = [] if magic else ["not magic"]
+    if tuple(range(sys.n)) not in (sys.S, sys.T) and not free.free:
+        reasons.append(f"not free (witness {free.witness})")
+    size, mass = len(quads), sys.weights[0]
+    if reasons:
         raise ExtensionConstructionError(
-            "no component is simultaneously magic and free; a valid component "
-            "should always exist for an ergodic base -- details: " + "; ".join(lines)
+            "no fiber is simultaneously magic and free; a valid fiber should always exist for an "
+            f"ergodic base -- details: fiber over point 0 (size={size} mass={mass}): " + ", ".join(reasons)
         )
-    k, sub = chosen
-    comp = components[k]
-    comp_quads = tuple(quads[x] for x in comp.support)
+    rest = (ComponentSummary(size, w, None, None, False, "not evaluated") for w in sys.weights[1:])
     return MagicExtension(
         base=sys,
-        system=sub,
-        quadruples=comp_quads,
-        factor=tuple(q[3] for q in comp_quads),
-        mass=comp.mass,
-        components=tuple(s for s in summaries if s is not None),
+        system=fiber,
+        quadruples=tuple(quads),
+        factor=tuple(q[3] for q in quads),
+        mass=mass,
+        components=(ComponentSummary(size, mass, magic, free.free, True, None), *rest),
     )
 
 

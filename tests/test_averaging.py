@@ -265,6 +265,11 @@ class TestTelescoping:
         with pytest.raises(DimensionError, match="lengths differ"):
             check_telescoping([F(1)], [F(1), F(0)])
 
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            check_telescoping([0.1, 0.2], [0.3, 0.4])
+        assert check_telescoping(["1/2", 1], [F(1, 3), "0"]).identity
+
 
 class TestDecomposition:
     def test_product_grid_limit_formula(self):
@@ -330,6 +335,15 @@ class TestDecomposition:
         f = z4_observable()
         with pytest.raises(PreconditionError, match="not magic"):
             decompose_and_converge(z4_diagonal(), f, f, f, 0, [4])
+
+    def test_checks_arguments_before_the_verdicts(self):
+        # z4_diagonal is neither magic nor free, but a bad point or
+        # observable is reported first, before magic is decided
+        f = z4_observable()
+        with pytest.raises(DimensionError, match="start point 99 outside 0..3"):
+            decompose_and_converge(z4_diagonal(), f, f, f, 99, [4])
+        with pytest.raises(DimensionError, match="observable on 3 points vs system on 4"):
+            decompose_and_converge(z4_diagonal(), f, f, Observable.constant(3, 1), 0, [4])
 
     def test_rejects_bad_schedule(self):
         sys = product_grid(2, 3)

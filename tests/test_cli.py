@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from ergocubes import joinings
 from ergocubes.cli import main
 from ergocubes.finite import system_to_dict, translation_system, z4_diagonal
+from ergocubes.joinings import MagicReport
 
 
 def run(capsys, *argv):
@@ -447,6 +449,15 @@ class TestExtend:
             "--schedule", "4,8",
         )
         assert code == 0
+
+    def test_rejected_fiber_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(joinings, "is_magic", lambda sys: MagicReport(False, None, "stub", 0, 0))
+        target = tmp_path / "ext.json"
+        code, out, err = run(capsys, "extend", "--builtin", "z4-diagonal", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("extension failed: ")
+        assert "not magic" in err
+        assert not target.exists()
 
     def test_rejects_torus(self, capsys):
         code, _, err = run(capsys, "extend", "--builtin", "torus-sqrt23")

@@ -84,6 +84,12 @@ class TestCubeSpace:
         for sys in systems:
             assert cube_space_size(sys) == cube_space(sys).size
 
+    def test_size_builds_no_orbit_grids(self):
+        sys = translation_system(6, 1, (1, 0), (2, 0))
+        assert cube_space_size(sys) == 108
+        for x in range(sys.n):
+            assert sys.cached(("grid", x), lambda: "absent") == "absent"
+
     def test_orbit_built_support_matches_the_listed_quadruples(self):
         for sys in seeded_systems(239, 5):
             hm = host_measure(sys)

@@ -9,6 +9,7 @@ test_z4_seminorm_matches_autocorrelation_route).
 
 from fractions import Fraction
 from random import Random
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -17,6 +18,7 @@ from ergocubes.core import Observable, PreconditionError, integrate, marginal
 from ergocubes.finite import (
     FiniteMPS,
     diagonal_grid,
+    ergodic_decomposition,
     is_ergodic,
     is_free,
     partition_s,
@@ -28,6 +30,14 @@ from ergocubes.finite import (
     z4_diagonal,
 )
 from ergocubes.joinings import (
+    S_STAR,
+    T_STAR,
+    ComponentSummary,
+    ExtensionConstructionError,
+    MagicExtension,
+    MagicReport,
+    Quad,
+    apply_rule,
     cond_exp,
     host_integral,
     host_measure,
@@ -41,6 +51,81 @@ from ergocubes.joinings import (
 )
 
 F = Fraction
+
+
+# The construction by decomposition, kept as the reference for
+# `magic_extension`: list supp mu_{S,T}, build the four-fold system under
+# (S*, T*), decompose it, and try components by decreasing mass.
+def _magic_extension_by_decomposition(sys: FiniteMPS) -> MagicExtension:
+    """Build a magic, ergodic extension of an ergodic system.
+
+    The four-fold measure with the coordinate maps (S*, T*) = (id x S x id x S,
+    id x id x T x T) is an extension of the base via the last coordinate;
+    decomposing it into components of the (S*, T*) action and selecting a
+    component that is magic (and free, whenever the base has nontrivial S and
+    T) yields the required system.  Components are tried by decreasing mass,
+    ties broken by lexicographically smallest support.
+    """
+    if not is_ergodic(sys):
+        raise PreconditionError("magic_extension requires an ergodic base system")
+    hm = host_measure(sys)
+    quads: List[Quad] = sorted(hm.mu_st.entries)
+    index = {q: k for k, q in enumerate(quads)}
+    weights = [hm.mu_st.entries[q] for q in quads]
+    s_perm = [index[apply_rule(sys, S_STAR, q)] for q in quads]
+    t_perm = [index[apply_rule(sys, T_STAR, q)] for q in quads]
+    big = FiniteMPS(weights, s_perm, t_perm)
+
+    identity = tuple(range(sys.n))
+    freeness_required = sys.S != identity and sys.T != identity
+
+    components = ergodic_decomposition(big)
+    order = sorted(range(len(components)), key=lambda k: (-components[k].mass, components[k].support))
+    summaries: List[Optional[ComponentSummary]] = [None] * len(components)
+    chosen: Optional[Tuple[int, FiniteMPS]] = None
+    for k in order:
+        comp = components[k]
+        if chosen is not None:
+            summaries[k] = ComponentSummary(len(comp.support), comp.mass, None, None, False, "not evaluated")
+            continue
+        sub = comp.subsystem(big)
+        magic_report = is_magic(sub)
+        free_result = is_free(sub)
+        ok = magic_report.is_magic and (free_result.free or not freeness_required)
+        if ok:
+            chosen = (k, sub)
+            summaries[k] = ComponentSummary(len(comp.support), comp.mass, magic_report.is_magic, free_result.free, True, None)
+        else:
+            reasons = []
+            if not magic_report.is_magic:
+                reasons.append("not magic")
+            if freeness_required and not free_result.free:
+                reasons.append(f"not free (witness {free_result.witness})")
+            summaries[k] = ComponentSummary(
+                len(comp.support), comp.mass, magic_report.is_magic, free_result.free, False, ", ".join(reasons)
+            )
+    if chosen is None:
+        lines = [
+            f"component size={s.size} mass={s.mass}: {s.rejection}"
+            for s in summaries
+            if s is not None
+        ]
+        raise ExtensionConstructionError(
+            "no component is simultaneously magic and free; a valid component "
+            "should always exist for an ergodic base -- details: " + "; ".join(lines)
+        )
+    k, sub = chosen
+    comp = components[k]
+    comp_quads = tuple(quads[x] for x in comp.support)
+    return MagicExtension(
+        base=sys,
+        system=sub,
+        quadruples=comp_quads,
+        factor=tuple(q[3] for q in comp_quads),
+        mass=comp.mass,
+        components=tuple(s for s in summaries if s is not None),
+    )
+
 
 
 def z4_observable():
@@ -360,6 +445,41 @@ class TestMagicExtension:
         ext = magic_extension(sys)
         assert ext.system.n == 1
         assert is_magic(ext.system).is_magic
+
+    def test_matches_the_decomposition_route_seeded(self, monkeypatch):
+        # the cube over point 0 is the component the full decomposition picks.
+        # Both routes decide magic on equal systems, so each system is decided
+        # once, which halves the test's time.
+        decide, verdicts = joinings.is_magic, {}
+
+        def decide_once(sys):
+            key = (sys.weights, sys.S, sys.T)
+            if key not in verdicts:
+                verdicts[key] = decide(sys)
+            return verdicts[key]
+
+        monkeypatch.setattr(joinings, "is_magic", decide_once)
+        monkeypatch.setitem(globals(), "is_magic", decide_once)
+        rng = Random(163)
+        bases = [random_ergodic_system(rng, max_order=3) for _ in range(165)]
+        bases += [translation_system(n, 1, (1, 0), (t, 0)) for n in range(1, 7) for t in range(n)]
+        bases += [grid(a, b) for grid in (product_grid, diagonal_grid) for a in range(1, 4) for b in range(1, 4)]
+        bases += [z4_diagonal(), FiniteMPS([F(1)], [0], [0])]
+        assert len(bases) >= 200
+        for sys in bases:
+            ext, ref = magic_extension(sys), _magic_extension_by_decomposition(sys)
+            assert (ext.system, ext.quadruples, ext.factor, ext.mass) == (ref.system, ref.quadruples, ref.factor, ref.mass)
+            assert ext.components == ref.components
+
+    def test_leaves_no_host_measure_on_the_base(self):
+        sys = translation_system(6, 1, (1, 0), (2, 0))
+        magic_extension(sys)
+        assert sys.cached("host_measure", lambda: "absent") == "absent"
+
+    def test_rejected_fiber_raises(self, monkeypatch):
+        monkeypatch.setattr(joinings, "is_magic", lambda sys: MagicReport(False, None, "stub", 0, 0))
+        with pytest.raises(ExtensionConstructionError, match=r"fiber over point 0 \(size=16 mass=1/4\): not magic"):
+            magic_extension(z4_diagonal())
 
 
 class TestMeasurability:
