@@ -19,6 +19,7 @@ breach, or an extension that could not be built).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -34,10 +35,10 @@ from .finite import (
     T_GEN,
     SystemFormatError,
     diagonal_grid,
-    ergodic_decomposition,
     is_ergodic,
     is_free,
     orbit_partition,
+    partition_st,
     product_grid,
     system_from_dict,
     system_to_dict,
@@ -240,7 +241,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"uniform weights: {_yesno(len(set(system.weights)) == 1)}")
         lines.append(f"order of S: {system.order_s()}   order of T: {system.order_t()}")
         lines.append(f"ergodic: {_yesno(is_ergodic(system))}")
-        lines.append(f"components: {len(ergodic_decomposition(system))}")
+        lines.append(f"components: {partition_st(system).num_blocks}")
         if free.free:
             lines.append("free: yes")
         else:
@@ -252,7 +253,7 @@ def cmd_analyze(args) -> int:
             lines.append(f"magic: no ({magic.direction})")
         lines.append(f"kernel dimension: {magic.seminorm_kernel_dim}   mean-zero dimension: {magic.mean_zero_dim}")
         lines.append(f"invariant pairing measurable: {_yesno(measurability_check(system))}")
-        lines.append(f"pair support: {len(hm.mu_s.entries)}")
+        lines.append(f"pair support: {sum(len(orbit) for orbit in hm.orbits)}")
         lines.append(f"quadruple support: {sum(len(orbit) ** 2 for orbit in hm.orbits)}")
         lines.append(f"cube space: {cube_space_size(system)}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -419,7 +420,9 @@ def cmd_verify(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` looks handlers up by name."""
     parser = _Parser(prog="ergocubes", description="finite measure-preserving systems with two commuting maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -430,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural report")
     add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("average", help="window averages over a schedule")
     add_common(p)
@@ -444,11 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "text"), default="csv")
     p.add_argument("--tolerance", type=float, default=None,
                    help="exit 2 if any |value - reference| exceeds this")
-    p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("extend", help="build the magic extension")
     add_common(p)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("cube", help="quadruple space structure and empirical averages")
     add_common(p)
@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", default="all", help="'all' or comma-separated quadruple indices")
     p.add_argument("--identify-with", metavar="FILE",
                    help="second factor file: check the product identification instead")
-    p.set_defaults(func=cmd_cube)
 
     p = sub.add_parser("verify", help="seeded property sweeps")
     p.add_argument("--suite", action="append", choices=sorted(SUITES) + ["all"],
@@ -464,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--out", help="write the report to this file (atomically)")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -472,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_signed_values(_sys.argv[1:] if argv is None else argv))
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, ValueError) as exc:
         # ValueError covers the library's DimensionError, PreconditionError,
         # InvalidSystemError and SystemFormatError

@@ -246,9 +246,14 @@ def partition_t(sys: FiniteMPS) -> Partition:
     return _orbits(sys, T_GEN)
 
 
+def partition_st(sys: FiniteMPS) -> Partition:
+    """Partition into joint orbits: the supports of the ergodic components."""
+    return _orbits(sys, S_GEN, T_GEN)
+
+
 def is_ergodic(sys: FiniteMPS) -> bool:
     """True iff the two-generator action is transitive on the support."""
-    return _orbits(sys, S_GEN, T_GEN).num_blocks == 1
+    return partition_st(sys).num_blocks == 1
 
 
 class FreenessResult(NamedTuple):
@@ -296,7 +301,7 @@ def is_free(sys: FiniteMPS) -> FreenessResult:
     if sys.order_t() == 1:
         return FreenessResult(False, (0, 1))
     lattice = (1, 0, 1)  # all of Z^2
-    for block in _orbits(sys, S_GEN, T_GEN).blocks():
+    for block in partition_st(sys).blocks():
         x = block[0]
         t_index = {y: e for e, y in enumerate(perm_cycle(sys.T, x))}
         p, y = 1, sys.S[x]
@@ -335,7 +340,7 @@ def ergodic_decomposition(sys: FiniteMPS) -> List[ErgodicComponent]:
     and mass-weighted conditional measures reassemble the original weights.
     """
     out = []
-    for block in _orbits(sys, S_GEN, T_GEN).blocks():
+    for block in partition_st(sys).blocks():
         mass = sum((sys.weights[x] for x in block), Fraction(0))
         out.append(
             ErgodicComponent(

@@ -11,10 +11,13 @@ On finite systems invariant algebras are orbit partitions and conditional
 expectations are block averages, so every identity here is exact.
 
 The four-fold measure factors over the (T x T)-orbits C of supp mu_S, as
-mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) on C x C.  So its
-integrals are sum_C L_C R_C / mu_S(C), summed in ints over one denominator
-at the cost of |supp mu_S| (`host_integral`), and its quadruples are listed
-only on demand (`HostMeasure.mu_st`).
+mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) on C x C.  Each orbit
+is C = {(T^j y, S^k T^j y) : j < |tau|} for one T-orbit tau, y its first
+point, and one k < a_y (T x T moves j and keeps k), so |C| = |tau|.  On an
+S-orbit O, mu_S(a,b) = w(a) w(b) / w(O), and w(O) is constant along C.  So
+the integrals sum_C L_C R_C / mu_S(C) are summed in ints at the cost of
+|supp mu_S| (`host_integral`), measurability is decided by counting
+(`measurability_check`), and masses are listed only on demand (`mu_st`).
 
 The magic extension needs none of mu_{S,T}.  Host's construction splits it
 into ergodic components under S* = id x S x id x S and T* = id x id x T x T,
@@ -31,6 +34,8 @@ and on a finite ergodic base these are known in closed form:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -123,16 +128,21 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
 
 @dataclass(frozen=True)
 class HostMeasure:
-    """The four-fold joining mu_{S,T}, kept in factored form.
+    """mu_{S,T} factored in integers; `mu_s` and `mu_st` are listed on first access.
 
-    `orbits` lists the (T x T)-orbits of the support of mu_S, as pair lists,
-    and `block_mass` gives each orbit's mu_S-mass.  These carry all of
-    mu_{S,T}; its quadruples, `mu_st`, are built on first access only.
+    `orbits` holds the (T x T)-orbits C of supp mu_S as pair lists.  With the
+    weights as integers `u` over one `d`, U_C the u-sum of the S-orbit of C,
+    P_C the sum of u(a) u(b) over C and `inverse` lcm / (U_C P_C) per orbit:
+    mu_S(a, b) = u(a) u(b) / (d U_C), mu_S(C) = P_C / (d U_C), and
+    mu_{S,T}(p, q) = u(p) u(q) inverse_C / (d lcm), where u(a, b) = u(a) u(b).
     """
 
-    mu_s: SparseMeasure
-    block_mass: Tuple[Fraction, ...]
+    n: int
+    u: Tuple[int, ...]
+    d: int
     orbits: Tuple[Tuple[Tuple[int, int], ...], ...]
+    inverse: Tuple[int, ...]
+    lcm: int
 
     def quadruple_support(self) -> Set[Quad]:
         """supp mu_{S,T}: the quadruples p + q for pairs p, q in one orbit,
@@ -140,66 +150,62 @@ class HostMeasure:
         return {p + q for orbit in self.orbits for p in orbit for q in orbit}
 
     @cached_property
+    def mu_s(self) -> SparseMeasure:
+        entries = {}
+        for orbit, inverse in zip(self.orbits, self.inverse):
+            masses = [self.u[a] * self.u[b] for a, b in orbit]
+            scale = sum(masses) * inverse  # lcm / U_C
+            entries.update((p, Fraction(m * scale, self.d * self.lcm)) for p, m in zip(orbit, masses))
+        return SparseMeasure(2, self.n, entries)
+
+    @cached_property
     def mu_st(self) -> SparseMeasure:
-        entries: Dict[Tuple[int, ...], Fraction] = {}
-        for orbit, mass in zip(self.orbits, self.block_mass):
-            for p in orbit:
-                wp = self.mu_s.entries[p]
-                for q in orbit:
-                    entries[p + q] = wp * self.mu_s.entries[q] / mass
-        return SparseMeasure(4, self.mu_s.n, entries)
+        entries = {}
+        for orbit, inverse in zip(self.orbits, self.inverse):
+            pairs = [(p, self.u[p[0]] * self.u[p[1]]) for p in orbit]
+            entries.update((p + q, Fraction(mp * mq * inverse, self.d * self.lcm)) for p, mp in pairs for q, mq in pairs)
+        return SparseMeasure(4, self.n, entries)
 
 
 def host_measure(sys: FiniteMPS) -> HostMeasure:
-    """Relative independent square of mu_S over the (T x T)-invariant algebra.
-
-    mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) for pairs (a,b) and
-    (c,d) in a common (T x T)-orbit C on the support of mu_S.  Built once per
-    system and memoized on it.
-    """
+    """Relative independent square of mu_S over the (T x T)-invariant algebra
+    (`HostMeasure`), built once per system and memoized on it."""
     return sys.cached("host_measure", _build_host_measure, sys)
 
 
 def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
-    mu_s = rel_indep_square(sys)
-    seen = set()
-    orbits: List[Tuple[Tuple[int, int], ...]] = []
-    for pair in mu_s.support():
-        if pair in seen:
-            continue
-        orbit = []
-        cur = pair
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = (sys.T[cur[0]], sys.T[cur[1]])
-        orbits.append(tuple(orbit))
-    nums, d = common_denominator(mu_s.entries.values())
-    weight = dict(zip(mu_s.entries, nums))
-    return HostMeasure(
-        mu_s=mu_s,
-        block_mass=tuple(Fraction(sum(weight[p] for p in orbit), d) for orbit in orbits),
-        orbits=tuple(orbits),
-    )
+    u, d = common_denominator(sys.weights)
+    orbits, pair_mass, masses = [], [], []
+    for block in partition_t(sys).blocks():
+        _, _, grid = sys.orbit_grid(block[0])  # row k: the orbit {(T^j y, S^k T^j y)}, y = block[0]
+        s_weight = sum(u[row[0]] for row in grid)
+        for row in grid:
+            orbits.append(tuple(zip(grid[0], row)))
+            pair_mass.append(sum(u[a] * u[b] for a, b in orbits[-1]))
+            masses.append(s_weight * pair_mass[-1])
+    lcm = math.lcm(*masses)
+    inverse = [lcm // m for m in masses]
+    if sum(p * p * k for p, k in zip(pair_mass, inverse)) != d * lcm:  # the mass of mu_S and of mu_{S,T}
+        raise ValueError("host measure: total mass is not exactly 1")
+    return HostMeasure(sys.n, tuple(u), d, tuple(orbits), tuple(inverse), lcm)
 
 
 def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
     """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}: sum_C L_C R_C / mu_S(C),
     with L_C, R_C the orbit sums of mu_S(a,b) f1(a) f2(b) and mu_S(a,b) f3(a) f4(b).
-    mu_S, each observable (`Observable.scaled`) and the 1/mu_S(C) are put over
-    one denominator each."""
-    if len(fs) != 4 or any(f.n != hm.mu_s.n for f in fs):
-        raise DimensionError(f"need 4 observables on {hm.mu_s.n} points")
-    nums, d = common_denominator(hm.mu_s.entries.values())
-    weight = dict(zip(hm.mu_s.entries, nums))
-    inverse_mass, e = common_denominator(1 / mass for mass in hm.block_mass)
-    (f1, d1), (f2, d2), (f3, d3), (f4, d4) = (f.scaled for f in fs)
+    In integers (`HostMeasure`, `Observable.scaled`) that is the sum of l_C r_C inverse_C
+    over d lcm d1 d2 d3 d4, l_C the orbit sum of u(a) F1(a) u(b) F2(b), r_C likewise."""
+    if len(fs) != 4 or any(f.n != hm.n for f in fs):
+        raise DimensionError(f"need 4 observables on {hm.n} points")
+    (g1, d1), (g2, d2), (g3, d3), (g4, d4) = (
+        ([w * v for w, v in zip(hm.u, nums)], den) for nums, den in (f.scaled for f in fs)
+    )
     total = 0
-    for orbit, inverse in zip(hm.orbits, inverse_mass):
-        left = sum(weight[p] * f1[p[0]] * f2[p[1]] for p in orbit)
-        right = sum(weight[p] * f3[p[0]] * f4[p[1]] for p in orbit)
+    for orbit, inverse in zip(hm.orbits, hm.inverse):
+        left = sum(g1[a] * g2[b] for a, b in orbit)
+        right = sum(g3[a] * g4[b] for a, b in orbit)
         total += left * right * inverse
-    return Fraction(total, d * d * e * d1 * d2 * d3 * d4)
+    return Fraction(total, hm.d * hm.lcm * d1 * d2 * d3 * d4)
 
 
 class SeminormValue(NamedTuple):
@@ -242,7 +248,7 @@ def seminorm_kernel_basis(hm: HostMeasure) -> List[Observable]:
     slots, and the reverse containment is the quartic Cauchy-Schwarz
     inequality applied with indicators (tested separately).
     """
-    n = hm.mu_st.n
+    n = hm.n
     row_map: Dict[Tuple[int, int, int], List[Fraction]] = {}
     for quad, w in hm.mu_st.entries.items():
         key = quad[1:]
@@ -373,27 +379,17 @@ def magic_extension(sys: FiniteMPS) -> MagicExtension:
 def measurability_check(sys: FiniteMPS) -> bool:
     """Verify E(f0 x f1 | I_{TxT}) = E(E(f0|W) x E(f1|W) | I_{TxT}) exactly.
 
-    Checking the identity for all pairs of indicator observables (a spanning
-    family, by bilinearity) is the same as checking, per (T x T)-orbit C, that
-    spreading mu_S|_C over W-block products leaves it fixed; the latter is a
-    single exact measure comparison per orbit.
+    By bilinearity: spreading mu_S|_C over products of W-blocks must leave it
+    fixed, for each (T x T)-orbit C.  W refines the S-orbits and mu_S is
+    w x w / w(O) on each O x O, so on A x B the spread is m w(x) w(y) / (w(A)
+    w(B)), m the mass of C in A x B.  As weights are positive, that is mu_S|_C
+    exactly when C meets A x B in 0 or |A| |B| pairs: a count per orbit.
     """
     hm = host_measure(sys)
-    w_part = invariant_w(sys)
-    w_blocks = w_part.blocks()
-    w_mass = [sum((sys.weights[x] for x in block), Fraction(0)) for block in w_blocks]
+    block = invariant_w(sys).block_of
+    size = Counter(block)
     for orbit in hm.orbits:
-        spread: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b) in orbit:
-            w_ab = hm.mu_s.entries[(a, b)]
-            ba, bb = w_part.block_of[a], w_part.block_of[b]
-            scale = w_ab / (w_mass[ba] * w_mass[bb])
-            for x in w_blocks[ba]:
-                wx = sys.weights[x] * scale
-                for y in w_blocks[bb]:
-                    key = (x, y)
-                    spread[key] = spread.get(key, Fraction(0)) + wx * sys.weights[y]
-        original = {pair: hm.mu_s.entries[pair] for pair in orbit}
-        if spread != original:
+        hits = Counter((block[a], block[b]) for a, b in orbit)
+        if any(k != size[A] * size[B] for (A, B), k in hits.items()):
             return False
     return True

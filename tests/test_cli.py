@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ergocubes import joinings
+from ergocubes import cli, joinings
 from ergocubes.cli import main
 from ergocubes.finite import system_to_dict, translation_system, z4_diagonal
 from ergocubes.joinings import MagicReport
@@ -548,3 +548,23 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the same bytes as with a parser built afresh for each call, and no
+        # --observable carried over from one call into the next
+        grid = ["--builtin", "grid-2x3", "--schedule", "1,3"]
+        argvs = [
+            ["average", *grid, "--kind", "cubic", "--observable", "1,0,-1/2,1,0,2", "--observable", "-1,1,0,0,1/3,1"],
+            ["analyze", "--builtin", "grid-2x3"],
+            ["average", *grid, "--kind", "windowed_sn", "--observable", "1,0,-1/2,1,0,2"],
+        ]
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser().parse_args(["average", *grid, "--kind", "cubic"]).observable == []
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 0]
+        assert shared[0][2] == "error: kind cubic needs 3 observables, got 2\n"

@@ -7,13 +7,17 @@ definition of the quadruple measure on a single cycle (see
 test_z4_seminorm_matches_autocorrelation_route).
 """
 
+import functools
+import time
+import tracemalloc
 from fractions import Fraction
 from random import Random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from ergocubes import joinings
+from ergocubes.averaging import AVERAGE_KINDS, AverageSpec, run_average
 from ergocubes.core import Observable, PreconditionError, integrate, marginal
 from ergocubes.finite import (
     FiniteMPS,
@@ -128,6 +132,65 @@ def _magic_extension_by_decomposition(sys: FiniteMPS) -> MagicExtension:
 
 
 
+# The (T x T)-orbits of supp mu_S by literal closure, and the measurability
+# check by spreading each orbit's Fraction masses over W-block products: the
+# references for `host_measure`'s parametrized orbits and for the counting
+# `measurability_check`.
+def _closure_orbits(sys: FiniteMPS) -> set:
+    seen, orbits = set(), set()
+    for pair in rel_indep_square(sys).support():
+        orbit = []
+        cur = pair
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = (sys.T[cur[0]], sys.T[cur[1]])
+        if orbit:
+            orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _measurable_by_spread(sys: FiniteMPS) -> bool:
+    hm = host_measure(sys)
+    w_part = invariant_w(sys)
+    w_blocks = w_part.blocks()
+    w_mass = [sum((sys.weights[x] for x in block), Fraction(0)) for block in w_blocks]
+    for orbit in hm.orbits:
+        spread: Dict[Tuple[int, int], Fraction] = {}
+        for (a, b) in orbit:
+            w_ab = hm.mu_s.entries[(a, b)]
+            ba, bb = w_part.block_of[a], w_part.block_of[b]
+            scale = w_ab / (w_mass[ba] * w_mass[bb])
+            for x in w_blocks[ba]:
+                wx = sys.weights[x] * scale
+                for y in w_blocks[bb]:
+                    key = (x, y)
+                    spread[key] = spread.get(key, Fraction(0)) + wx * sys.weights[y]
+        original = {pair: hm.mu_s.entries[pair] for pair in orbit}
+        if spread != original:
+            return False
+    return True
+
+
+@functools.cache
+def _pair_layer_systems() -> Tuple[FiniteMPS, ...]:
+    """Random systems with up to 3 components and ergodic ones, magic
+    extensions of 30-odd ergodic bases, product and diagonal grids up to 4x4,
+    cyclic translations Z_n with T = +t and translations of Z_a x Z_b."""
+    rng = Random(20261018)
+    systems = []
+    for _ in range(230):
+        systems.append(random_system(rng, max_order=3, max_components=3))
+        systems.append(random_ergodic_system(rng, max_order=3))
+    systems += [magic_extension(sys).system for sys in systems[:60] if is_ergodic(sys)]
+    systems += [grid(a, b) for grid in (product_grid, diagonal_grid) for a in range(1, 5) for b in range(1, 5)]
+    systems += [translation_system(n, 1, (1, 0), (t, 0)) for n in range(1, 13) for t in range(n)]
+    systems += [
+        translation_system(a, b, (1, 1), (i, j)) for a in (2, 3) for b in (2, 3) for i in range(a) for j in range(b)
+    ]
+    return tuple(systems)
+
+
 def z4_observable():
     return Observable((F(1), F(0), F(-1), F(0)))
 
@@ -219,7 +282,7 @@ class TestQuadrupleMeasure:
             hm = host_measure(sys)
             fs = [Observable(tuple(rng.choice(values) for _ in range(sys.n))) for _ in range(4)]
             assert host_integral(hm, fs) == integrate(hm.mu_st, fs)
-            cases.append((hm, fs))
+            cases.append((sys, hm, fs))
         assert len(cases) >= 30
 
         def largest_denominator(values):
@@ -227,8 +290,16 @@ class TestQuadrupleMeasure:
             d = max(v.denominator for v in values)
             return [v.numerator * (d // v.denominator) for v in values], d
 
+        def mutated(sys, fs):
+            # the weights are put over one denominator when the host measure
+            # is built; its total-mass check may refuse the wrong numerators
+            try:
+                return host_integral(joinings._build_host_measure(sys), fs)
+            except ValueError:
+                return None
+
         monkeypatch.setattr(joinings, "common_denominator", largest_denominator)
-        assert any(host_integral(hm, fs) != integrate(hm.mu_st, fs) for hm, fs in cases)
+        assert any(mutated(sys, fs) != integrate(hm.mu_st, fs) for sys, hm, fs in cases)
 
 
 class TestSeminorm:
@@ -480,6 +551,49 @@ class TestMagicExtension:
         monkeypatch.setattr(joinings, "is_magic", lambda sys: MagicReport(False, None, "stub", 0, 0))
         with pytest.raises(ExtensionConstructionError, match=r"fiber over point 0 \(size=16 mass=1/4\): not magic"):
             magic_extension(z4_diagonal())
+
+
+class TestPairLayer:
+    def test_orbits_are_the_closure_of_the_pair_support(self):
+        for sys in _pair_layer_systems():
+            hm = host_measure(sys)
+            orbits = {frozenset(orbit) for orbit in hm.orbits}
+            assert len(orbits) == len(hm.orbits) and orbits == _closure_orbits(sys)
+            assert all(len(orbit) == len(set(orbit)) for orbit in hm.orbits)
+            assert hm.mu_s == rel_indep_square(sys)
+
+    def test_measurability_matches_the_spread_check(self):
+        systems = _pair_layer_systems()
+        verdicts = [measurability_check(sys) for sys in systems]
+        assert verdicts == [_measurable_by_spread(sys) for sys in systems]
+        assert len(systems) >= 600 and verdicts.count(False) >= 300
+
+    def test_integrals_and_verdicts_leave_the_measures_unlisted(self):
+        sys = translation_system(6, 2, (1, 0), (2, 1))
+        f = Observable(tuple(F(x % 5 - 2, x % 3 + 1) for x in range(sys.n)))
+        host_integral(host_measure(sys), (f, f, f, f))
+        measurability_check(sys)
+        for kind in ("fourfold", "windowed_sn"):
+            run_average(sys, AverageSpec(kind, (f,) * AVERAGE_KINDS[kind], 0, (1, 4)))
+        assert "mu_s" not in vars(host_measure(sys)) and "mu_st" not in vars(host_measure(sys))
+
+    def test_the_pair_layer_stays_small_on_a_large_grid(self):
+        # 3,600 points and 216,000 pairs: per-pair Fractions would take
+        # seconds and a peak of about 80 MB here
+        sys = product_grid(60, 60)
+        start = time.perf_counter()
+        host_measure(sys)
+        assert measurability_check(sys)
+        assert time.perf_counter() - start < 1.0
+        sys = product_grid(60, 60)
+        tracemalloc.start()
+        try:
+            host_measure(sys)
+            measurability_check(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25_000_000
 
 
 class TestMeasurability:
