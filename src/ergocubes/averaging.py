@@ -3,15 +3,16 @@
 Every average here is a finite sum over a box [0, N-1]^d of generator
 exponents.  On a finite system the point S^i T^j x depends only on
 (i mod a, j mod b), where a and b are the cycle lengths of S and T on the
-orbit of x, and the number of window indices in each residue class has a
-closed form; so each average collapses to a residue-weighted sum whose cost
-does not grow with N.  The sums are taken in integers: each observable is
-scaled once, on first use, to integer numerators over one common denominator
-(`Observable.scaled`), and each returned value is the one `Fraction` of the
-integer sum over the window volume times those denominators.  The S_N sum
-(`sn_sum`) and the cubic row sums (`cubic_rows`) are shared with the
-exhaustive bound sweep.  Literal-loop references (`*_naive`) are kept for
-equality testing.
+orbit of x, so every kernel, Birkhoff averages along any S^i T^j included,
+reads the orbit grid of x (`FiniteMPS.orbit_grid`); the number of window
+indices in each residue class has a closed form, so each average collapses
+to a residue-weighted sum whose cost does not grow with N.  The sums are
+taken in integers: each observable is scaled once, on first use, to integer
+numerators over one common denominator (`Observable.scaled`), and each
+returned value is the one `Fraction` of the integer sum over the window
+volume times those denominators.  The S_N sum (`sn_sum`) and the cubic row
+sums (`cubic_rows`) are shared with the exhaustive bound sweep.
+Literal-loop references (`*_naive`) are kept for equality testing.
 """
 
 from __future__ import annotations
@@ -265,26 +266,26 @@ def windowed_sn_naive(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction
 def birkhoff_average(
     sys: FiniteMPS, f: Observable, x: int, gens: Sequence[GroupElement], N: int
 ) -> Fraction:
-    """d-dimensional Birkhoff average over the box [0, N-1]^len(gens)."""
+    """d-dimensional Birkhoff average over the box [0, N-1]^len(gens).
+
+    g = S^i T^j moves orbit-grid cell (r, s) to ((r + i) mod a, (s + j) mod b),
+    with period lcm(a / gcd(i, a), b / gcd(j, b)) in its exponent."""
     _check_average_args(sys, (f,), x, N)
     if not gens:
         raise ValueError("need at least one generator")
-    points = [x]
-    count_weights = [1]
+    a, b, grid = sys.orbit_grid(x)
+    cells = {(0, 0): 1}
     for g in gens:
-        period = sys.cycle_length(g, x)
-        counts = window_counts(N, period)
-        new_points, new_weights = [], []
-        for p, w in zip(points, count_weights):
-            cur = p
-            for r in range(period):
-                if counts[r]:
-                    new_points.append(cur)
-                    new_weights.append(w * counts[r])
-                cur = sys.apply(g, cur)
-        points, count_weights = new_points, new_weights
+        counts = window_counts(N, math.lcm(a // math.gcd(g.i, a), b // math.gcd(g.j, b)))
+        moved = {}
+        for (r, s), w in cells.items():
+            for k, c in enumerate(counts):
+                if c:
+                    cell = ((r + k * g.i) % a, (s + k * g.j) % b)
+                    moved[cell] = moved.get(cell, 0) + w * c
+        cells = moved
     nums, d = f.scaled
-    total = sum(w * nums[p] for p, w in zip(points, count_weights))
+    total = sum(w * nums[grid[r][s]] for (r, s), w in cells.items())
     return Fraction(total, N ** len(gens) * d)
 
 

@@ -224,9 +224,6 @@ class SparseMeasure:
             raise ValueError(f"total mass is {Fraction(sum(nums), d)}, expected exactly 1")
         object.__setattr__(self, "entries", clean)
 
-    def support(self) -> List[Tuple[int, ...]]:
-        return sorted(self.entries)
-
     def weight(self, key: Tuple[int, ...]) -> Fraction:
         return self.entries.get(tuple(key), Fraction(0))
 

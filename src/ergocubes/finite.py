@@ -67,18 +67,18 @@ def perm_cycle(perm: Sequence[int], x: int) -> List[int]:
     return out
 
 
-def _power_tables(perm: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    seen, order = set(), 1
+def _cycle_table(perm: Tuple[int, ...]):
+    """(cycles, orbits, pos): the cycles of `perm` listed by smallest point,
+    each starting there; each point's cycle index as a `Partition` (the
+    labels are canonical already); each point's position in its cycle."""
+    cycles, index, pos = [], [-1] * len(perm), [0] * len(perm)
     for x in range(len(perm)):
-        if x not in seen:
-            cycle = perm_cycle(perm, x)
-            seen.update(cycle)
-            order = math.lcm(order, len(cycle))
-    tables = [perm]
-    while (1 << len(tables)) < order:
-        prev = tables[-1]
-        tables.append(tuple(prev[p] for p in prev))
-    return order, tuple(tables)
+        if index[x] < 0:
+            cycle = tuple(perm_cycle(perm, x))
+            for k, y in enumerate(cycle):
+                index[y], pos[y] = len(cycles), k
+            cycles.append(cycle)
+    return tuple(cycles), Partition(tuple(index)), tuple(pos)
 
 
 def _grid(S: Tuple[int, ...], T: Tuple[int, ...], x: int):
@@ -130,10 +130,10 @@ class FiniteMPS:
     def cached(self, key: Hashable, build: Callable, *args):
         """The structure derived under `key`: `build(*args)` once per system.
 
-        Only structure is memoized (orders, power tables, orbit partitions,
-        orbit grids, the host measure), never a verdict, and no value may
-        refer back to the system, so a system is freed with its memo as soon
-        as its last reference goes.
+        Only structure is memoized (the cycle tables of S and T, the joint
+        orbit partition, orbit grids, the host measure), never a verdict, and
+        no value may refer back to the system, so a system is freed with its
+        memo as soon as its last reference goes.
         """
         try:
             return self._memo[key]
@@ -141,33 +141,26 @@ class FiniteMPS:
             value = self._memo[key] = build(*args)
             return value
 
+    def _cycles(self, which: str):
+        """The cycle table of S or T (`_cycle_table`), memoized."""
+        return self.cached(which, _cycle_table, self.S if which == "S" else self.T)
+
     def order_s(self) -> int:
         """lcm of the S-cycle lengths (the order of S as a permutation)."""
-        return self._powers("S")[0]
+        return math.lcm(*map(len, self._cycles("S")[0]))
 
     def order_t(self) -> int:
-        return self._powers("T")[0]
+        return math.lcm(*map(len, self._cycles("T")[0]))
 
-    def _powers(self, which: str) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-        """The order of S or T and its repeated-squaring tables:
-        which^(2^k) for 2^k below that order."""
-        return self.cached(which, _power_tables, self.S if which == "S" else self.T)
-
-    def _apply_power(self, which: str, e: int, x: int) -> int:
-        order, tables = self._powers(which)
-        e %= order
-        k = 0
-        while e:
-            if e & 1:
-                x = tables[k][x]
-            e >>= 1
-            k += 1
-        return x
+    def _step(self, which: str, e: int, x: int) -> int:
+        cycles, orbits, pos = self._cycles(which)
+        cycle = cycles[orbits.block_of[x]]
+        return cycle[(pos[x] + e) % len(cycle)]
 
     def apply(self, g: GroupElement, x: int) -> int:
-        """Apply S^i T^j to a point, in O(log|i| + log|j|) table lookups."""
+        """Apply S^i T^j to a point: one lookup in each generator's cycle table."""
         self._check_point(x)
-        return self._apply_power("S", g.i, self._apply_power("T", g.j, x))
+        return self._step("S", g.i, self._step("T", g.j, x))
 
     def group_perm(self, g: GroupElement) -> Tuple[int, ...]:
         """The permutation S^i T^j as an index map."""
@@ -182,15 +175,6 @@ class FiniteMPS:
         grid[r][s] = S^r T^s x for r < a, s < b."""
         self._check_point(x)
         return self.cached(("grid", x), _grid, self.S, self.T, x)
-
-    def cycle_length(self, g: GroupElement, x: int) -> int:
-        """Least a > 0 with (S^i T^j)^a x = x; constant along commuting orbits."""
-        y = self.apply(g, x)
-        length = 1
-        while y != x:
-            y = self.apply(g, y)
-            length += 1
-        return length
 
     def __eq__(self, other):
         return (
@@ -232,23 +216,18 @@ def invariant_partition(sys: FiniteMPS, gens: Iterable[GroupElement]) -> Partiti
     return orbit_partition([sys.group_perm(g) for g in gens], sys.n)
 
 
-def _orbits(sys: FiniteMPS, *gens: GroupElement) -> Partition:
-    """The orbit partition of the subgroup generated by `gens`, memoized."""
-    return sys.cached(gens, invariant_partition, sys, gens)
-
-
 def partition_s(sys: FiniteMPS) -> Partition:
     """Partition into S-orbits; its saturated sets are the S-invariant sets."""
-    return _orbits(sys, S_GEN)
+    return sys._cycles("S")[1]
 
 
 def partition_t(sys: FiniteMPS) -> Partition:
-    return _orbits(sys, T_GEN)
+    return sys._cycles("T")[1]
 
 
 def partition_st(sys: FiniteMPS) -> Partition:
     """Partition into joint orbits: the supports of the ergodic components."""
-    return _orbits(sys, S_GEN, T_GEN)
+    return sys.cached("ST", invariant_partition, sys, (S_GEN, T_GEN))
 
 
 def is_ergodic(sys: FiniteMPS) -> bool:
@@ -301,14 +280,14 @@ def is_free(sys: FiniteMPS) -> FreenessResult:
     if sys.order_t() == 1:
         return FreenessResult(False, (0, 1))
     lattice = (1, 0, 1)  # all of Z^2
+    cycles, t_orbits, pos = sys._cycles("T")
     for block in partition_st(sys).blocks():
         x = block[0]
-        t_index = {y: e for e, y in enumerate(perm_cycle(sys.T, x))}
-        p, y = 1, sys.S[x]
-        while y not in t_index:
+        c, p, y = t_orbits.block_of[x], 1, sys.S[x]
+        while t_orbits.block_of[y] != c:
             p, y = p + 1, sys.S[y]
-        r = len(t_index)
-        lattice = _meet(lattice, (p, -t_index[y] % r, r))
+        r = len(cycles[c])
+        lattice = _meet(lattice, (p, (pos[x] - pos[y]) % r, r))
     p, q, _ = lattice
     if p == sys.order_s():
         return FreenessResult(True, None)

@@ -40,6 +40,7 @@ from .finite import (
 )
 from .joinings import (
     cond_exp,
+    host_integral,
     host_measure,
     host_seminorm,
     invariant_w,
@@ -160,14 +161,16 @@ def verify_joinings(seed: int, trials: int) -> SuiteResult:
         for coord in range(2):
             if marginal(hm.mu_s, coord).entries != base:
                 findings.append(f"trial {trial}: pair measure marginal {coord} is not the base measure")
+        one = Observable.constant(sys.n, 1)
         for coord in range(4):
-            if marginal(hm.mu_st, coord).entries != base:
+            if any(host_integral(hm, [Observable.indicator(sys.n, x) if k == coord else one for k in range(4)]) != w
+                   for x, w in enumerate(sys.weights)):
                 findings.append(f"trial {trial}: quadruple measure marginal {coord} is not the base measure")
         fs = [_random_observable(rng, sys.n) for _ in range(4)]
         norms = [host_seminorm(hm, f).fourth_power for f in fs]
         if any(v < 0 for v in norms):
             findings.append(f"trial {trial}: a fourth-power seminorm is negative")
-        cross = integrate(hm.mu_st, fs)
+        cross = host_integral(hm, fs)
         if cross**4 > norms[0] * norms[1] * norms[2] * norms[3]:
             findings.append(f"trial {trial}: four-fold Cauchy-Schwarz fails")
         scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -23,8 +24,10 @@ from ergocubes.averaging import (
 )
 from ergocubes.core import DimensionError, Observable, PreconditionError, integrate
 from ergocubes.finite import (
+    GroupElement,
     S_GEN,
     T_GEN,
+    diagonal_grid,
     product_grid,
     random_ergodic_system,
     random_system,
@@ -51,6 +54,20 @@ MIXED_VALUES = (F(-2), F(-1, 3), F(0), F(1, 2), F(5, 7))
 def mixed_observable(rng, n):
     """Values with distinct denominators, so a wrong common denominator shows."""
     return Observable(tuple(rng.choice(MIXED_VALUES) for _ in range(n)))
+
+
+def literal_birkhoff(sys, f, x, gens, N):
+    """The Birkhoff box sum walked one S, S^-1, T or T^-1 step at a time."""
+    inverse = {perm: [perm.index(y) for y in range(sys.n)] for perm in (sys.S, sys.T)}
+    total = F(0)
+    for ks in product(range(N), repeat=len(gens)):
+        y = x
+        for g, k in zip(gens, ks):
+            for perm, e in ((sys.S, g.i), (sys.T, g.j)):
+                for _ in range(k * abs(e)):
+                    y = perm[y] if e > 0 else inverse[perm][y]
+        total += f.values[y]
+    return total / N ** len(gens)
 
 
 def draws(k):
@@ -138,8 +155,7 @@ class TestFourfoldAverage:
             obs = [random_observable(rng, sys.n, -1, 1) for _ in range(4)]
             oracle = integrate(host_measure(sys).mu_st, obs)
             x = rng.randrange(sys.n)
-            a = sys.cycle_length(S_GEN, x)
-            b = sys.cycle_length(T_GEN, x)
+            a, b, _ = sys.orbit_grid(x)
             period = math.lcm(a, b)
             assert fourfold_average(sys, *obs, x, period) == oracle
             assert fourfold_average(sys, *obs, x, 2 * period) == oracle
@@ -160,8 +176,7 @@ class TestWindowedSn:
             f = random_observable(rng, sys.n, -1, 1)
             oracle = host_seminorm(host_measure(sys), f).fourth_power
             x = rng.randrange(sys.n)
-            a = sys.cycle_length(S_GEN, x)
-            b = sys.cycle_length(T_GEN, x)
+            a, b, _ = sys.orbit_grid(x)
             period = math.lcm(a, b)
             assert windowed_sn(sys, f, x, period) == oracle
 
@@ -211,6 +226,23 @@ class TestBirkhoffAverage:
                     q = sys.T[q]
                 p = sys.S[p]
             assert birkhoff_average(sys, f, x, [S_GEN, T_GEN], N) == total / N**2
+
+    def test_matches_a_literal_walk_on_non_free_systems(self):
+        rng = Random(359)
+        systems = [z4_diagonal(), diagonal_grid(2, 3), translation_system(8, 1, (1, 0), (3, 0))]
+        systems += [random_system(rng, max_order=3) for _ in range(6)]
+        gen_lists = (
+            [GroupElement(2, -1)],
+            [GroupElement(1, 3), GroupElement(-1, 2)],
+            [GroupElement(0, 0)],
+            [GroupElement(-3, 0), T_GEN],
+        )
+        for sys in systems:
+            f = mixed_observable(rng, sys.n)
+            for gens in gen_lists:
+                for x in range(sys.n):
+                    N = rng.randint(1, 7)
+                    assert birkhoff_average(sys, f, x, gens, N) == literal_birkhoff(sys, f, x, gens, N)
 
     def test_requires_generators(self):
         with pytest.raises(ValueError, match="at least one generator"):

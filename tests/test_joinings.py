@@ -138,7 +138,7 @@ def _magic_extension_by_decomposition(sys: FiniteMPS) -> MagicExtension:
 # `measurability_check`.
 def _closure_orbits(sys: FiniteMPS) -> set:
     seen, orbits = set(), set()
-    for pair in rel_indep_square(sys).support():
+    for pair in sorted(rel_indep_square(sys).entries):
         orbit = []
         cur = pair
         while cur not in seen:
