@@ -37,7 +37,6 @@ from .finite import (
     diagonal_grid,
     is_ergodic,
     is_free,
-    orbit_partition,
     partition_st,
     product_grid,
     system_from_dict,
@@ -367,8 +366,7 @@ def cmd_cube(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if report.identified else 2
     space = cube_space(system)
-    perms = space.transform_permutations()
-    orbit_count = orbit_partition(perms, space.size).num_blocks
+    orbit_count = len(space.orbits())
     transitive = orbit_count == 1
     lines = [
         f"quadruples: {space.size}",
@@ -389,7 +387,7 @@ def cmd_cube(args) -> int:
             starts = "all" if args.starts == "all" else [int(s) for s in args.starts.split(",")]
         except ValueError:
             raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
-        report = empirical_unique_ergodicity(perms, reference, starts, schedule)
+        report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
         lines.append("empirical deviation from uniform (worst start):")
         for row in report.rows:
             lines.append(f"  N={row.N}: {format_fraction(row.value)} (~{float(row.value):.6f})")

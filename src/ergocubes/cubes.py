@@ -30,7 +30,7 @@ from .finite import (
     perm_cycle,
     product_system,
 )
-from .joinings import S_STAR, T_STAR, apply_rule, cube_over, diagonal_rule, host_measure, rel_indep_square
+from .joinings import S_STAR, T_STAR, cube_over, diagonal_rule, host_measure, rel_indep_square, rule_permutation
 from .averaging import ConvergenceReport, ReportRow, check_schedule, window_counts
 
 _ID = GroupElement(0, 0)
@@ -45,16 +45,23 @@ class CubeTransform(NamedTuple):
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """A finite set of orbit tuples, closed under named coordinate transforms."""
+    """A finite set of orbit tuples, closed under named coordinate transforms.
+
+    Each transform becomes a permutation of point indices, built by
+    `rule_permutation` on first use and kept by name; so closure is checked
+    per transform when it is first used, not at construction."""
 
     base: FiniteMPS
     points: Tuple[Tuple[int, ...], ...]
     transforms: Tuple[CubeTransform, ...]
     index_of: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+    _perms: Dict[str, Tuple[int, ...]] = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate tuples in action space")
+        if len({t.name for t in self.transforms}) != len(self.transforms):
+            raise ValueError("duplicate transform names in action space")
         arity = len(self.points[0]) if self.points else 0
         for t in self.transforms:
             if len(t.rule) != arity:
@@ -69,28 +76,24 @@ class ActionSpace:
     def arity(self) -> int:
         return len(self.points[0])
 
+    def permutation(self, name: str) -> Tuple[int, ...]:
+        """The transform `name` as a permutation of point indices."""
+        if name not in self._perms:
+            rule = next((t.rule for t in self.transforms if t.name == name), None)
+            if rule is None:
+                raise ValueError(f"unknown transform: {name!r}")
+            self._perms[name] = rule_permutation(self.base, name, rule, self.index_of)
+        return self._perms[name]
+
     def apply(self, name: str, point: Tuple[int, ...]) -> Tuple[int, ...]:
-        for t in self.transforms:
-            if t.name == name:
-                image = apply_rule(self.base, t.rule, point)
-                if image not in self.index_of:
-                    raise ValueError(f"transform {name} leaves the space at {point}")
-                return image
-        raise ValueError(f"unknown transform: {name!r}")
+        perm = self.permutation(name)
+        if point not in self.index_of:
+            raise ValueError(f"{point} is not a point of the space")
+        return self.points[perm[self.index_of[point]]]
 
     def transform_permutations(self) -> List[Tuple[int, ...]]:
         """Each transform as a permutation of point indices (they commute)."""
-        perms = []
-        for t in self.transforms:
-            perm = [0] * self.size
-            for k, p in enumerate(self.points):
-                image = apply_rule(self.base, t.rule, p)
-                target = self.index_of.get(image)
-                if target is None:
-                    raise ValueError(f"transform {t.name} leaves the space at {p}")
-                perm[k] = target
-            perms.append(tuple(perm))
-        return perms
+        return [self.permutation(t.name) for t in self.transforms]
 
     def orbits(self) -> List[Tuple[int, ...]]:
         """Orbits of the transform group on point indices, by smallest member."""
@@ -187,57 +190,32 @@ def product_cube_identification(first: FiniteMPS, second: FiniteMPS) -> ProductC
     space = cube_space(prod)
     m = second.n
 
-    def split(p: int) -> Tuple[int, int]:
-        return divmod(p, m)
-
     def phi(quad: Tuple[int, ...]) -> PairKey:
-        y0, w0 = split(quad[0])
-        y1, w1 = split(quad[1])
-        y2, w2 = split(quad[2])
-        y3, w3 = split(quad[3])
+        (y0, w0), (y1, w1), (y2, w2), (y3, w3) = (divmod(p, m) for p in quad)
         if (w1, y2, y3, w3) != (w0, y0, y1, w2):
             raise ValueError(f"quadruple {quad} lacks product structure")
         return ((y0, y1), (w0, w2))
 
     y_pairs = two_sided_cube(first, S_GEN)
     w_pairs = two_sided_cube(second, T_GEN)
-    images = {}
-    bijective = True
-    for quad in space.points:
-        key = phi(quad)
-        if key in images or key[0] not in y_pairs.index_of or key[1] not in w_pairs.index_of:
-            bijective = False
-            break
-        images[quad] = key
-    expected = y_pairs.size * w_pairs.size
-    bijective = bijective and len(images) == space.size == expected
+    images = {quad: phi(quad) for quad in space.points}
+    keys = [(y_pairs.index_of.get(y), w_pairs.index_of.get(w)) for y, w in images.values()]
+    bijective = all(None not in key for key in keys) and len(set(keys)) == space.size == y_pairs.size * w_pairs.size
 
-    # side_s on quadruples should advance the first factor's pair side, etc.
-    pair_moves = {
-        "side_s": (("side",), ()),
-        "side_t": ((), ("side",)),
-        "diag_s": (("diag_s",), ()),
-        "diag_t": ((), ("diag_t",)),
-    }
-    intertwines = bijective
-    if intertwines:
-        for t in space.transforms:
-            y_moves, w_moves = pair_moves[t.name]
-            for quad in space.points:
-                moved = apply_rule(prod, t.rule, quad)
-                y_key, w_key = images[quad]
-                for name in y_moves:
-                    y_key = y_pairs.apply(name, y_key)
-                for name in w_moves:
-                    w_key = w_pairs.apply(name, w_key)
-                if images[moved] != (y_key, w_key):
-                    intertwines = False
-                    break
-            if not intertwines:
-                break
-
-    measure_matches = False
+    intertwines = measure_matches = False
     if bijective:
+        # side_s on quadruples advances the first factor's pair side, etc.:
+        # quadruple k must move to the key of its moved factor pairs.
+        y_id, w_id = range(y_pairs.size), range(w_pairs.size)
+        moves = (
+            (space.permutation("side_s"), y_pairs.permutation("side"), w_id),
+            (space.permutation("side_t"), y_id, w_pairs.permutation("side")),
+            (space.permutation("diag_s"), y_pairs.permutation("diag_s"), w_id),
+            (space.permutation("diag_t"), y_id, w_pairs.permutation("diag_t")),
+        )
+        intertwines = all(
+            keys[perm[k]] == (y_move[y], w_move[w]) for perm, y_move, w_move in moves for k, (y, w) in enumerate(keys)
+        )
         pushed: Dict[PairKey, Fraction] = {}
         for quad, mass in host_measure(prod).mu_st.entries.items():
             key = images[quad]

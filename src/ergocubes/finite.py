@@ -81,10 +81,13 @@ def _cycle_table(perm: Tuple[int, ...]):
     return tuple(cycles), Partition(tuple(index)), tuple(pos)
 
 
-def _grid(S: Tuple[int, ...], T: Tuple[int, ...], x: int):
-    grid = [tuple(perm_cycle(T, x))]
-    for _ in range(len(perm_cycle(S, x)) - 1):
-        grid.append(tuple(S[p] for p in grid[-1]))
+def _grid(sys: "FiniteMPS", x: int):
+    """`orbit_grid` at x from the cycle tables: row 0 is x's T-cycle, rotated to start at x."""
+    (s_cycles, s_orbits, _), (t_cycles, t_orbits, t_pos) = sys._cycles("S"), sys._cycles("T")
+    cycle, k = t_cycles[t_orbits.block_of[x]], t_pos[x]
+    grid = [cycle[k:] + cycle[:k]]
+    for _ in range(len(s_cycles[s_orbits.block_of[x]]) - 1):
+        grid.append(tuple(sys.S[p] for p in grid[-1]))
     return len(grid), len(grid[0]), tuple(grid)
 
 
@@ -174,7 +177,7 @@ class FiniteMPS:
         """(a, b, grid): a and b are the S- and T-cycle lengths at x, and
         grid[r][s] = S^r T^s x for r < a, s < b."""
         self._check_point(x)
-        return self.cached(("grid", x), _grid, self.S, self.T, x)
+        return self.cached(("grid", x), _grid, self, x)
 
     def __eq__(self, other):
         return (

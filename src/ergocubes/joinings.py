@@ -76,8 +76,20 @@ def diagonal_rule(g: GroupElement) -> Tuple[GroupElement, ...]:
     return (g, g, g, g)
 
 
-def apply_rule(sys: FiniteMPS, rule: Tuple[GroupElement, ...], point: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(sys.apply(g, x) for g, x in zip(rule, point))
+def rule_permutation(
+    sys: FiniteMPS, name: str, rule: Tuple[GroupElement, ...], index_of: Dict[Tuple[int, ...], int]
+) -> Tuple[int, ...]:
+    """The coordinate rule `name` as a permutation of indexed tuples: entry k
+    is the index of the image of the k-th tuple, whose coordinate c moves by
+    rule[c].  `index_of` maps each tuple to its index, listed in index order."""
+    moves = [sys.group_perm(g) for g in rule]
+    perm = []
+    for point in index_of:
+        image = index_of.get(tuple(move[x] for move, x in zip(moves, point)))
+        if image is None:
+            raise ValueError(f"transform {name} leaves the space at {point}")
+        perm.append(image)
+    return tuple(perm)
 
 
 def cube_over(sys: FiniteMPS, x: int) -> List[Quad]:
@@ -352,8 +364,8 @@ def magic_extension(sys: FiniteMPS) -> MagicExtension:
     index = {q: k for k, q in enumerate(quads)}
     fiber = FiniteMPS(
         [Fraction(1, len(quads))] * len(quads),
-        [index[apply_rule(sys, S_STAR, q)] for q in quads],
-        [index[apply_rule(sys, T_STAR, q)] for q in quads],
+        rule_permutation(sys, "S*", S_STAR, index),
+        rule_permutation(sys, "T*", T_STAR, index),
     )
     magic, free = is_magic(fiber).is_magic, is_free(fiber)
     reasons = [] if magic else ["not magic"]

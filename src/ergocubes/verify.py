@@ -28,7 +28,6 @@ from .finite import (
     ergodic_decomposition,
     is_ergodic,
     is_free,
-    orbit_partition,
     perm_cycle,
     product_grid,
     random_ergodic_system,
@@ -241,7 +240,7 @@ def verify_cubes(seed: int, trials: int) -> SuiteResult:
         # deliberately wrong reference
         if space.size >= 2:
             period = math.lcm(*(len(perm_cycle(perm, 0)) for perm in perms))
-            orbit0 = orbit_partition(perms, space.size).blocks()[0]
+            orbit0 = space.orbits()[0]
             mass = Fraction(1, len(orbit0))
             ref = SparseMeasure(arity=1, n=space.size, entries={(k,): mass for k in orbit0})
             rep = empirical_unique_ergodicity(perms, ref, [0], [period, 2 * period])

@@ -206,6 +206,48 @@ class TestActionSpaceValidation:
             space.apply("side", (0, 0))
 
 
+class TestTransformPermutations:
+    def test_cached_permutations_match_a_literal_apply_walk(self):
+        # each transform's permutation against its rule applied point by point
+        # through sys.apply: the cube space and the pair spaces of S, T and
+        # S^2 T^-1 on 30 seeded systems, 120 spaces
+        spaces = 0
+        for sys in seeded_systems(241, 15):
+            pair_spaces = [two_sided_cube(sys, g) for g in (S_GEN, T_GEN, GroupElement(2, -1))]
+            for space in (cube_space(sys), *pair_spaces):
+                for t, perm in zip(space.transforms, space.transform_permutations()):
+                    moved = [tuple(sys.apply(g, x) for g, x in zip(t.rule, point)) for point in space.points]
+                    assert perm == tuple(space.index_of[image] for image in moved)
+                    assert space.permutation(t.name) is perm
+                spaces += 1
+        assert spaces >= 100
+
+    def test_apply_rejects_points_outside_the_space(self):
+        space = cube_space(z4_diagonal())
+        with pytest.raises(ValueError, match=r"\(0, 0, 0, 1\) is not a point of the space"):
+            space.apply("side_s", (0, 0, 0, 1))
+
+    def test_an_open_space_fails_only_where_a_transform_leaves_it(self):
+        space = ActionSpace(
+            base=z4_diagonal(),
+            points=((0, 0), (0, 1)),
+            transforms=(CubeTransform("stay", (ID, ID)), CubeTransform("side", (ID, S_GEN))),
+        )
+        assert space.apply("stay", (0, 1)) == (0, 1)
+        with pytest.raises(ValueError, match=r"transform side leaves the space at \(0, 1\)"):
+            space.apply("side", (0, 0))
+        with pytest.raises(ValueError, match="leaves the space"):
+            space.orbits()
+
+    def test_rejects_duplicate_transform_names(self):
+        with pytest.raises(ValueError, match="duplicate transform names"):
+            ActionSpace(
+                base=z4_diagonal(),
+                points=((0, 0),),
+                transforms=(CubeTransform("t", (ID, ID)), CubeTransform("t", (S_GEN, S_GEN))),
+            )
+
+
 class TestProductIdentification:
     def test_five_by_three(self):
         first = translation_system(5, 1, (1, 0), (0, 0))

@@ -34,7 +34,7 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import apply_rule, magic_extension
+from ergocubes.joinings import magic_extension
 
 QUARTER = Fraction(1, 4)
 
@@ -132,8 +132,6 @@ class TestAction:
             for g in (S_GEN, GroupElement(0, 0)):
                 with pytest.raises(DimensionError, match=message):
                     sys.apply(g, x)
-            with pytest.raises(DimensionError, match=message):
-                apply_rule(sys, (S_GEN, T_GEN), (0, x))
             # nothing was memoized for the rejected point
             assert sys.cached(("grid", x), lambda: "absent") == "absent"
 

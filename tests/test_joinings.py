@@ -41,7 +41,6 @@ from ergocubes.joinings import (
     MagicExtension,
     MagicReport,
     Quad,
-    apply_rule,
     cond_exp,
     host_integral,
     host_measure,
@@ -76,8 +75,8 @@ def _magic_extension_by_decomposition(sys: FiniteMPS) -> MagicExtension:
     quads: List[Quad] = sorted(hm.mu_st.entries)
     index = {q: k for k, q in enumerate(quads)}
     weights = [hm.mu_st.entries[q] for q in quads]
-    s_perm = [index[apply_rule(sys, S_STAR, q)] for q in quads]
-    t_perm = [index[apply_rule(sys, T_STAR, q)] for q in quads]
+    s_perm = [index[tuple(sys.apply(g, x) for g, x in zip(S_STAR, q))] for q in quads]
+    t_perm = [index[tuple(sys.apply(g, x) for g, x in zip(T_STAR, q))] for q in quads]
     big = FiniteMPS(weights, s_perm, t_perm)
 
     identity = tuple(range(sys.n))
