@@ -11,7 +11,9 @@ taken in integers: each observable is scaled once, on first use, to integer
 numerators over one common denominator (`Observable.scaled`), and each
 returned value is the one `Fraction` of the integer sum over the window
 volume times those denominators.  The S_N sum (`sn_sum`) and the cubic row
-sums (`cubic_rows`) are shared with the exhaustive bound sweep.
+sums (`cubic_rows`) are shared with the exhaustive bound sweep.  Point-mass
+box averages, Birkhoff's here and the empirical engine's in `cubes`, count
+hits with `box_hits`; every per-N report comes from `schedule_report`.
 Literal-loop references (`*_naive`) are kept for equality testing.
 """
 
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
     DimensionError,
@@ -263,6 +265,23 @@ def windowed_sn_naive(sys: FiniteMPS, f: Observable, x: int, N: int) -> Fraction
     return abs(total) / N**4
 
 
+def box_hits(step: Callable[[int, Hashable], Hashable], start: Hashable, periods: Sequence[int], N: int) -> Dict[Hashable, int]:
+    """hits[p] = #{(i_1, ..., i_d) in [0, N)^d : g_1^{i_1} ... g_d^{i_d} start = p},
+    where step(t, p) = g_t p and g_t^{periods[t]} fixes every point the box
+    reaches.  One generator at a time, each point walks its first
+    min(N, periods[t]) images, each taken with its window count."""
+    hits = {start: 1}
+    for t, period in enumerate(periods):
+        counts = window_counts(N, period)[:N]
+        moved: Dict[Hashable, int] = {}
+        for p, w in hits.items():
+            for c in counts:
+                moved[p] = moved.get(p, 0) + w * c
+                p = step(t, p)
+        hits = moved
+    return hits
+
+
 def birkhoff_average(
     sys: FiniteMPS, f: Observable, x: int, gens: Sequence[GroupElement], N: int
 ) -> Fraction:
@@ -274,18 +293,10 @@ def birkhoff_average(
     if not gens:
         raise ValueError("need at least one generator")
     a, b, grid = sys.orbit_grid(x)
-    cells = {(0, 0): 1}
-    for g in gens:
-        counts = window_counts(N, math.lcm(a // math.gcd(g.i, a), b // math.gcd(g.j, b)))
-        moved = {}
-        for (r, s), w in cells.items():
-            for k, c in enumerate(counts):
-                if c:
-                    cell = ((r + k * g.i) % a, (s + k * g.j) % b)
-                    moved[cell] = moved.get(cell, 0) + w * c
-        cells = moved
+    periods = [math.lcm(a // math.gcd(g.i, a), b // math.gcd(g.j, b)) for g in gens]
+    hits = box_hits(lambda t, cell: ((cell[0] + gens[t].i) % a, (cell[1] + gens[t].j) % b), (0, 0), periods, N)
     nums, d = f.scaled
-    total = sum(w * nums[grid[r][s]] for (r, s), w in cells.items())
+    total = sum(w * nums[grid[r][s]] for (r, s), w in hits.items())
     return Fraction(total, N ** len(gens) * d)
 
 
@@ -407,38 +418,47 @@ def decompose_and_converge(
     return DecompositionResult(limit=limit, rows=tuple(rows), exact_sum=exact)
 
 
+def schedule_report(
+    schedule: Sequence[int], value: Callable[[int], Value], reference: Optional[Value], metadata: Dict[str, object]
+) -> ConvergenceReport:
+    """One row per window size N, in schedule order: value(N), timed alone,
+    against a fixed reference (no abs_error when there is none)."""
+    rows = []
+    for N in schedule:
+        begin = time.perf_counter()
+        v = value(N)
+        elapsed = time.perf_counter() - begin
+        rows.append(ReportRow(N, v, reference, None if reference is None else abs(v - reference), elapsed))
+    return ConvergenceReport(rows=tuple(rows), metadata=metadata)
+
+
+def _birkhoff(gens):
+    """(value, reference) of a Birkhoff kind; the window lcm(a, b) covers every period on the orbit grid."""
+    def value(sys, fs, x, N):
+        return birkhoff_average(sys, *fs, x, gens, N)
+
+    return value, lambda sys, fs, x: value(sys, fs, x, math.lcm(*sys.orbit_grid(x)[:2]))
+
+
+# kind -> (value at window size N, exact reference or None); the kernels are
+# looked up when called, so a wrapped module function sees every call.
+_FINITE_KINDS = {
+    "cubic": (lambda sys, fs, x, N: cubic_average(sys, *fs, x, N), None),
+    "fourfold": (lambda sys, fs, x, N: fourfold_average(sys, *fs, x, N), lambda sys, fs, x: host_integral(host_measure(sys), fs)),
+    "windowed_sn": (
+        lambda sys, fs, x, N: windowed_sn(sys, *fs, x, N),
+        lambda sys, fs, x: host_seminorm(host_measure(sys), *fs).fourth_power,
+    ),
+    "birkhoff_1d": _birkhoff([S_GEN]),
+    "birkhoff_2d": _birkhoff([S_GEN, T_GEN]),
+}
+
+
 def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
     """Drive one average kind over a schedule, wiring in the exact oracle
     reference where one exists (the four-fold joining integral)."""
     _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
-    reference: Optional[Fraction] = None
-    if spec.kind == "fourfold":
-        reference = host_integral(host_measure(sys), spec.observables)
-    elif spec.kind == "windowed_sn":
-        reference = host_seminorm(host_measure(sys), spec.observables[0]).fourth_power
-    elif spec.kind == "birkhoff_1d":
-        period, _, _ = sys.orbit_grid(spec.start)
-        reference = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN], period)
-    elif spec.kind == "birkhoff_2d":
-        period_s, period_t, _ = sys.orbit_grid(spec.start)
-        reference = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN, T_GEN], math.lcm(period_s, period_t))
-    rows = []
-    for N in spec.schedule:
-        begin = time.perf_counter()
-        if spec.kind == "cubic":
-            value = cubic_average(sys, *spec.observables, spec.start, N)
-        elif spec.kind == "fourfold":
-            value = fourfold_average(sys, *spec.observables, spec.start, N)
-        elif spec.kind == "windowed_sn":
-            value = windowed_sn(sys, spec.observables[0], spec.start, N)
-        elif spec.kind == "birkhoff_1d":
-            value = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN], N)
-        else:
-            value = birkhoff_average(sys, spec.observables[0], spec.start, [S_GEN, T_GEN], N)
-        elapsed = time.perf_counter() - begin
-        err = abs(value - reference) if reference is not None else None
-        rows.append(ReportRow(N, value, reference, err, elapsed))
-    return ConvergenceReport(
-        rows=tuple(rows),
-        metadata={"kind": spec.kind, "start": spec.start, "n": sys.n},
-    )
+    value, reference = _FINITE_KINDS[spec.kind]
+    fs, x = spec.observables, spec.start
+    ref = None if reference is None else reference(sys, fs, x)
+    return schedule_report(spec.schedule, lambda N: value(sys, fs, x, N), ref, {"kind": spec.kind, "start": x, "n": sys.n})

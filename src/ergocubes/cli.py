@@ -45,7 +45,7 @@ from .finite import (
 )
 from .joinings import host_measure, is_magic, magic_extension, measurability_check, ExtensionConstructionError
 from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
-from .cubes import cube_space, cube_space_size, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
+from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
 from .verify import SUITES, run_suites
 
@@ -253,8 +253,9 @@ def cmd_analyze(args) -> int:
         lines.append(f"kernel dimension: {magic.seminorm_kernel_dim}   mean-zero dimension: {magic.mean_zero_dim}")
         lines.append(f"invariant pairing measurable: {_yesno(measurability_check(system))}")
         lines.append(f"pair support: {sum(len(orbit) for orbit in hm.orbits)}")
-        lines.append(f"quadruple support: {sum(len(orbit) ** 2 for orbit in hm.orbits)}")
-        lines.append(f"cube space: {cube_space_size(system)}")
+        # supp mu_{S,T} is the cube space, so one count gives both lines
+        quadruples = sum(len(orbit) ** 2 for orbit in hm.orbits)
+        lines += [f"quadruple support: {quadruples}", f"cube space: {quadruples}"]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -11,7 +11,6 @@ approach a reference measure under any commuting tuple of permutations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
@@ -25,13 +24,11 @@ from .finite import (
     check_commuting,
     is_ergodic,
     orbit_partition,
-    partition_s,
-    partition_t,
     perm_cycle,
     product_system,
 )
 from .joinings import S_STAR, T_STAR, cube_over, diagonal_rule, host_measure, rel_indep_square, rule_permutation
-from .averaging import ConvergenceReport, ReportRow, check_schedule, window_counts
+from .averaging import ConvergenceReport, box_hits, check_schedule, schedule_report
 
 _ID = GroupElement(0, 0)
 
@@ -120,15 +117,6 @@ def cube_space(sys: FiniteMPS) -> ActionSpace:
     )
     points = tuple(q for x in range(sys.n) for q in cube_over(sys, x))
     return ActionSpace(base=sys, points=points, transforms=transforms)
-
-
-def cube_space_size(sys: FiniteMPS) -> int:
-    """The size of `cube_space(sys)`, without listing it: the cube over x
-    has |S-orbit(x)| |T-orbit(x)| quadruples, read from the orbit
-    partitions' block sizes."""
-    p_s, p_t = partition_s(sys), partition_t(sys)
-    s_size, t_size = Counter(p_s.block_of), Counter(p_t.block_of)
-    return sum(s_size[s] * t_size[t] for s, t in zip(p_s.block_of, p_t.block_of))
 
 
 def two_sided_cube(sys: FiniteMPS, g: GroupElement) -> ActionSpace:
@@ -290,38 +278,17 @@ def empirical_unique_ergodicity(
         for x in start_list:
             firsts.setdefault(orbit_of[x], x)
         evaluated = list(firsts.values())
-    # Residue boxes per start: the orbit point of every residue tuple, the
-    # first generator's residue outermost, computed once.  The generators
-    # commute, so each one's cycle length is the same at every point of a box.
-    boxes = []
-    for x in evaluated:
-        points = [x]
-        for perm in perms:
-            points = [y for cur in points for y in perm_cycle(perm, cur)]
-        boxes.append((tuple(len(perm_cycle(perm, x)) for perm in perms), points))
+    # The generators commute, so each one's cycle length is the same at
+    # every point of a box.
+    boxes = [(x, [len(perm_cycle(perm, x)) for perm in perms]) for x in evaluated]
 
-    rows = []
-    for N in schedule:
+    def deviation(N: int) -> Fraction:
         # worst: twice the total-variation distance, times N^d * ref_den.
-        # A box's window counts depend only on its cycle lengths.
-        worst = 0
-        volume = N**d
-        box_counts: Dict[Tuple[int, ...], List[int]] = {}
-        for lengths, points in boxes:
-            counts = box_counts.get(lengths)
-            if counts is None:
-                counts = [1]
-                for length in lengths:
-                    counts = [c * k for c in counts for k in window_counts(N, length)]
-                box_counts[lengths] = counts
-            hits: Dict[int, int] = {}
-            for point, c in zip(points, counts):
-                hits[point] = hits.get(point, 0) + c
-            deviation = sum(abs(hits.get(p, 0) * ref_den - ref.get(p, 0) * volume) for p in hits.keys() | ref.keys())
-            worst = max(worst, deviation)
-        value = Fraction(worst, 2 * volume * ref_den)
-        rows.append(ReportRow(N=N, value=value, reference=Fraction(0), abs_error=value))
-    return ConvergenceReport(
-        rows=tuple(rows),
-        metadata={"kind": "empirical_unique_ergodicity", "points": m, "generators": d, "starts": len(start_list)},
-    )
+        worst, volume = 0, N**d
+        for x, periods in boxes:
+            hits = box_hits(lambda t, p: perms[t][p], x, periods, N)
+            worst = max(worst, sum(abs(hits.get(p, 0) * ref_den - ref.get(p, 0) * volume) for p in hits.keys() | ref.keys()))
+        return Fraction(worst, 2 * volume * ref_den)
+
+    metadata = {"kind": "empirical_unique_ergodicity", "points": m, "generators": d, "starts": len(start_list)}
+    return schedule_report(schedule, deviation, Fraction(0), metadata)

@@ -134,7 +134,8 @@ class FiniteMPS:
         """The structure derived under `key`: `build(*args)` once per system.
 
         Only structure is memoized (the cycle tables of S and T, the joint
-        orbit partition, orbit grids, the host measure), never a verdict, and
+        orbit partition, orbit grids, the host measure, the seminorm kernel
+        basis), never a verdict, and
         no value may refer back to the system, so a system is freed with its
         memo as soon as its last reference goes.
         """

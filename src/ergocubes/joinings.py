@@ -140,7 +140,7 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
 
 @dataclass(frozen=True)
 class HostMeasure:
-    """mu_{S,T} factored in integers; `mu_s` and `mu_st` are listed on first access.
+    """mu_{S,T} factored in integers; its masses `mu_st` are listed on first access.
 
     `orbits` holds the (T x T)-orbits C of supp mu_S as pair lists.  With the
     weights as integers `u` over one `d`, U_C the u-sum of the S-orbit of C,
@@ -160,15 +160,6 @@ class HostMeasure:
         """supp mu_{S,T}: the quadruples p + q for pairs p, q in one orbit,
         listed without computing their masses."""
         return {p + q for orbit in self.orbits for p in orbit for q in orbit}
-
-    @cached_property
-    def mu_s(self) -> SparseMeasure:
-        entries = {}
-        for orbit, inverse in zip(self.orbits, self.inverse):
-            masses = [self.u[a] * self.u[b] for a, b in orbit]
-            scale = sum(masses) * inverse  # lcm / U_C
-            entries.update((p, Fraction(m * scale, self.d * self.lcm)) for p, m in zip(orbit, masses))
-        return SparseMeasure(2, self.n, entries)
 
     @cached_property
     def mu_st(self) -> SparseMeasure:
@@ -287,12 +278,13 @@ def is_magic(sys: FiniteMPS) -> MagicReport:
 
     Both directions are checked on finite bases: the mean-zero space is
     spanned by per-block indicator differences, and vanishing of a seminorm
-    is a subspace condition, so basis checks decide the inclusions.
+    is a subspace condition, so basis checks decide the inclusions.  The
+    kernel basis is structure, memoized on the system; the verdict is not.
     """
     hm = host_measure(sys)
     w_part = invariant_w(sys)
     mean_zero = _mean_zero_basis(sys, w_part)
-    kernel = seminorm_kernel_basis(hm)
+    kernel = sys.cached("kernel", seminorm_kernel_basis, hm)
     verdict = True
     counterexample = None
     direction = None

@@ -15,13 +15,12 @@ import functools
 import itertools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .core import PreconditionError, as_fraction
-from .averaging import ConvergenceReport, ReportRow, check_kind, check_schedule
+from .averaging import ConvergenceReport, check_kind, check_schedule, schedule_report
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -322,14 +321,5 @@ def torus_report(
             reference = abs(fourier_host_integral(system, f, f, f, f))
         else:
             reference = observables[0].coeff(0).real
-    rows = []
-    for N in schedule:
-        begin = time.perf_counter()
-        value = torus_average(system, kind, observables, x, N)
-        elapsed = time.perf_counter() - begin
-        err = abs(value - reference) if reference is not None else None
-        rows.append(ReportRow(N, value, reference, err, elapsed))
-    return ConvergenceReport(
-        rows=tuple(rows),
-        metadata={"kind": kind, "start": str(as_fraction(x) % 1), "alpha": str(system.alpha), "beta": str(system.beta)},
-    )
+    metadata = {"kind": kind, "start": str(as_fraction(x) % 1), "alpha": str(system.alpha), "beta": str(system.beta)}
+    return schedule_report(schedule, lambda N: torus_average(system, kind, observables, x, N), reference, metadata)

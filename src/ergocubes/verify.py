@@ -157,8 +157,9 @@ def verify_joinings(seed: int, trials: int) -> SuiteResult:
         sys = random_system(rng)
         hm = host_measure(sys)
         base = {(x,): w for x, w in enumerate(sys.weights)}
+        mu_s = rel_indep_square(sys)
         for coord in range(2):
-            if marginal(hm.mu_s, coord).entries != base:
+            if marginal(mu_s, coord).entries != base:
                 findings.append(f"trial {trial}: pair measure marginal {coord} is not the base measure")
         one = Observable.constant(sys.n, 1)
         for coord in range(4):

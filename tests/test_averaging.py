@@ -11,6 +11,7 @@ from ergocubes.averaging import (
     AVERAGE_KINDS,
     AverageSpec,
     birkhoff_average,
+    box_hits,
     check_bound_average,
     check_telescoping,
     cubic_average,
@@ -18,6 +19,7 @@ from ergocubes.averaging import (
     fourfold_average,
     fourfold_average_naive,
     run_average,
+    schedule_report,
     window_counts,
     windowed_sn,
     windowed_sn_naive,
@@ -247,6 +249,86 @@ class TestBirkhoffAverage:
     def test_requires_generators(self):
         with pytest.raises(ValueError, match="at least one generator"):
             birkhoff_average(z4_diagonal(), z4_observable(), 0, [], 2)
+
+
+def literal_box_hits(step, start, d, N):
+    """Every exponent tuple of [0, N)^d walked one step at a time."""
+    hits = {}
+    for exponents in product(range(N), repeat=d):
+        p = start
+        for t, e in enumerate(exponents):
+            for _ in range(e):
+                p = step(t, p)
+        hits[p] = hits.get(p, 0) + 1
+    return hits
+
+
+class TestBoxHits:
+    def test_grid_steps_match_a_literal_walk(self):
+        rng = Random(367)
+        cases = 0
+        for d in range(1, 5):
+            for _ in range(8):
+                a, b = rng.randint(1, 5), rng.randint(1, 5)
+                gens = [GroupElement(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+                gens[rng.randrange(d)] = GroupElement(rng.choice((0, a)), rng.choice((0, b)))  # period 1
+                periods = [math.lcm(a // math.gcd(g.i, a), b // math.gcd(g.j, b)) for g in gens]
+
+                def step(t, cell):
+                    return ((cell[0] + gens[t].i) % a, (cell[1] + gens[t].j) % b)
+
+                for N in range(1, 8 if d < 4 else 6):
+                    start = (rng.randrange(a), rng.randrange(b))
+                    assert box_hits(step, start, periods, N) == literal_box_hits(step, start, d, N)
+                    cases += N < max(periods)
+        assert cases >= 20  # windows below some period
+
+    def test_permutation_steps_match_a_literal_walk(self):
+        rng = Random(373)
+        for d in range(1, 5):
+            for _ in range(6):
+                sys = random_system(rng, max_order=5, max_components=2)
+                gens = [GroupElement(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d - 1)] + [GroupElement(0, 0)]
+                perms = [sys.group_perm(g) for g in gens]
+                x = rng.randrange(sys.n)
+                periods = []
+                for perm in perms:
+                    y, length = perm[x], 1
+                    while y != x:
+                        y, length = perm[y], length + 1
+                    periods.append(length)
+                assert periods[-1] == 1
+                for N in range(1, 8 if d < 4 else 6):
+                    step = lambda t, p: perms[t][p]  # noqa: E731
+                    assert box_hits(step, x, periods, N) == literal_box_hits(step, x, d, N)
+
+    def test_counts_fill_the_box(self):
+        hits = box_hits(lambda t, p: (p + 1) % 5, 0, [5, 5, 5], 7)
+        assert sum(hits.values()) == 7**3 and set(hits) == set(range(5))
+
+
+class TestScheduleReport:
+    def test_rows_follow_the_schedule(self):
+        calls = []
+
+        def value(N):
+            calls.append(N)
+            return F(1, N)
+
+        report = schedule_report((3, 1, 8), value, F(1, 2), {"kind": "probe"})
+        assert calls == [3, 1, 8]
+        assert [row.N for row in report.rows] == [3, 1, 8]
+        assert [row.value for row in report.rows] == [F(1, 3), F(1), F(1, 8)]
+        assert [row.abs_error for row in report.rows] == [F(1, 6), F(1, 2), F(3, 8)]
+        assert all(row.reference == F(1, 2) and row.wall_time >= 0 for row in report.rows)
+        assert report.metadata == {"kind": "probe"}
+
+    def test_no_reference_means_no_error(self):
+        report = schedule_report([1, 2], lambda N: -1.5 * N, None, {})
+        assert [(row.value, row.reference, row.abs_error) for row in report.rows] == [(-1.5, None, None), (-3.0, None, None)]
+        assert all(row.wall_time >= 0 for row in report.rows)
+        zero = schedule_report([1, 2], lambda N: F(-N), F(0), {})
+        assert [row.abs_error for row in zero.rows] == [F(1), F(2)]
 
 
 class TestWindowBound:

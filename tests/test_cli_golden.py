@@ -1,0 +1,46 @@
+"""Report bytes pinned: `average` and `cube --schedule` stdout against a
+recording in `golden_reports.json`.
+
+The recording was taken once, from the code before averages, the cube
+engine and the torus reports shared one box-hit primitive and one schedule
+driver.  It is the spec: it is never re-recorded to agree with a change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ergocubes.cli import main
+
+MIXED = "--observable=1,-1/3,0,-1/2,5/7,-2"
+TRIG = "--trig=0:0.5:0;1:0.25:-0.5;2:-0.75:0.25"
+KINDS = ("cubic", "fourfold", "windowed_sn", "birkhoff_1d", "birkhoff_2d")
+
+GOLDEN_ARGVS = [
+    ["average", "--builtin", "grid-2x3", "--kind", kind, MIXED, "--start", "1", "--schedule", "pow2:0..8", "--format", fmt]
+    for kind in KINDS
+    for fmt in ("csv", "text")
+]
+GOLDEN_ARGVS += [
+    ["average", "--builtin", "torus-sqrt23", "--kind", kind, TRIG, "--start", "1/3", "--schedule", "pow2:0..8"]
+    for kind in KINDS
+]
+GOLDEN_ARGVS += [
+    ["cube", "--builtin", "grid-2x3", "--schedule", "1,4,8"],
+    ["cube", "--builtin", "z4-diagonal", "--schedule", "1,4,8", "--starts", "0,5"],
+]
+
+GOLDEN = json.loads((Path(__file__).with_name("golden_reports.json")).read_text())
+
+
+def test_every_recorded_run_is_listed():
+    assert sorted(GOLDEN) == sorted(" ".join(argv) for argv in GOLDEN_ARGVS)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=[" ".join(argv[1:]) for argv in GOLDEN_ARGVS])
+def test_stdout_matches_the_recording(capsys, argv):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == GOLDEN[" ".join(argv)]
