@@ -31,13 +31,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .core import Observable, format_fraction, parse_rational
 from .finite import (
     FiniteMPS,
-    S_GEN,
-    T_GEN,
     SystemFormatError,
     diagonal_grid,
     is_ergodic,
     is_free,
     partition_st,
+    partition_t,
     product_grid,
     system_from_dict,
     system_to_dict,
@@ -45,7 +44,7 @@ from .finite import (
 )
 from .joinings import host_measure, is_magic, magic_extension, measurability_check, ExtensionConstructionError
 from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
-from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification, two_sided_cube
+from .cubes import cube_space, empirical_unique_ergodicity, product_cube_identification
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
 from .verify import SUITES, run_suites
 
@@ -351,6 +350,10 @@ def cmd_extend(args) -> int:
 
 
 def cmd_cube(args) -> int:
+    if args.identify_with and (args.schedule is not None or args.starts is not None):
+        raise CliError("--schedule and --starts do not apply to --identify-with")
+    if args.starts is not None and args.schedule is None:
+        raise CliError("--starts needs --schedule")
     system = _load_system(args)
     if isinstance(system, TorusSystem):
         raise CliError("cube structure reports work on finite systems")
@@ -367,25 +370,28 @@ def cmd_cube(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if report.identified else 2
     space = cube_space(system)
+    hm = host_measure(system)
     orbit_count = len(space.orbits())
     transitive = orbit_count == 1
+    # the pairs (x, g^i x) are the supp mu_S of the (T x T)-orbits for g = S,
+    # and each T-orbit squared for g = T
     lines = [
         f"quadruples: {space.size}",
         f"transform orbits: {orbit_count}",
         f"transitive: {_yesno(transitive)}",
-        f"pair space (S): {two_sided_cube(system, S_GEN).size}",
-        f"pair space (T): {two_sided_cube(system, T_GEN).size}",
+        f"pair space (S): {sum(len(orbit) for orbit in hm.orbits)}",
+        f"pair space (T): {sum(len(block) ** 2 for block in partition_t(system).blocks())}",
     ]
-    support_matches = host_measure(system).quadruple_support() == set(space.points)
+    support_matches = hm.quadruple_support() == set(space.points)
     lines.append(f"quadruple measure supported on cube space: {_yesno(support_matches)}")
     violation = not support_matches
-    if args.schedule:
+    if args.schedule is not None:
         schedule = _parse_schedule(args.schedule)
         if not transitive:
             raise CliError("empirical comparison against the uniform measure needs a transitive cube space")
         reference = space.uniform_measure()
         try:
-            starts = "all" if args.starts == "all" else [int(s) for s in args.starts.split(",")]
+            starts = "all" if args.starts in (None, "all") else [int(s) for s in args.starts.split(",")]
         except ValueError:
             raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
         report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cube", help="quadruple space structure and empirical averages")
     add_common(p)
     p.add_argument("--schedule", help="run the empirical engine with these window sizes")
-    p.add_argument("--starts", default="all", help="'all' or comma-separated quadruple indices")
+    p.add_argument("--starts", help="'all' (the default) or comma-separated quadruple indices; needs --schedule")
     p.add_argument("--identify-with", metavar="FILE",
                    help="second factor file: check the product identification instead")
 

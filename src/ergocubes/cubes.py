@@ -11,9 +11,9 @@ approach a reference measure under any commuting tuple of permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .core import DimensionError, PreconditionError, SparseMeasure, common_denominator
 from .finite import (
@@ -33,71 +33,26 @@ from .averaging import ConvergenceReport, box_hits, check_schedule, schedule_rep
 _ID = GroupElement(0, 0)
 
 
-class CubeTransform(NamedTuple):
-    """A named coordinate rule: coordinate k of a tuple advances by rule[k]."""
-
-    name: str
-    rule: Tuple[GroupElement, ...]
-
-
 @dataclass(frozen=True)
 class ActionSpace:
-    """A finite set of orbit tuples, closed under named coordinate transforms.
+    """A finite set of orbit tuples and the commuting transforms that move
+    it, each kept by name as a permutation of point indices."""
 
-    Each transform becomes a permutation of point indices, built by
-    `rule_permutation` on first use and kept by name; so closure is checked
-    per transform when it is first used, not at construction."""
-
-    base: FiniteMPS
     points: Tuple[Tuple[int, ...], ...]
-    transforms: Tuple[CubeTransform, ...]
-    index_of: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
-    _perms: Dict[str, Tuple[int, ...]] = field(init=False, compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("duplicate tuples in action space")
-        if len({t.name for t in self.transforms}) != len(self.transforms):
-            raise ValueError("duplicate transform names in action space")
-        arity = len(self.points[0]) if self.points else 0
-        for t in self.transforms:
-            if len(t.rule) != arity:
-                raise DimensionError(f"transform {t.name} has arity {len(t.rule)}, points have {arity}")
-        object.__setattr__(self, "index_of", {p: k for k, p in enumerate(self.points)})
+    index_of: Dict[Tuple[int, ...], int]
+    perms: Dict[str, Tuple[int, ...]]
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def arity(self) -> int:
-        return len(self.points[0])
-
-    def permutation(self, name: str) -> Tuple[int, ...]:
-        """The transform `name` as a permutation of point indices."""
-        if name not in self._perms:
-            rule = next((t.rule for t in self.transforms if t.name == name), None)
-            if rule is None:
-                raise ValueError(f"unknown transform: {name!r}")
-            self._perms[name] = rule_permutation(self.base, name, rule, self.index_of)
-        return self._perms[name]
-
-    def apply(self, name: str, point: Tuple[int, ...]) -> Tuple[int, ...]:
-        perm = self.permutation(name)
-        if point not in self.index_of:
-            raise ValueError(f"{point} is not a point of the space")
-        return self.points[perm[self.index_of[point]]]
-
     def transform_permutations(self) -> List[Tuple[int, ...]]:
         """Each transform as a permutation of point indices (they commute)."""
-        return [self.permutation(t.name) for t in self.transforms]
+        return list(self.perms.values())
 
     def orbits(self) -> List[Tuple[int, ...]]:
         """Orbits of the transform group on point indices, by smallest member."""
         return orbit_partition(self.transform_permutations(), self.size).blocks()
-
-    def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
 
     def uniform_measure(self) -> SparseMeasure:
         """Uniform probability on point indices: the only candidate invariant
@@ -106,29 +61,29 @@ class ActionSpace:
         return SparseMeasure(arity=1, n=self.size, entries={(k,): mass for k in range(self.size)})
 
 
+def _action_space(
+    sys: FiniteMPS, points: Sequence[Tuple[int, ...]], rules: Dict[str, Tuple[GroupElement, ...]]
+) -> ActionSpace:
+    """`points` with each named coordinate rule built as a permutation of
+    their indices; `rule_permutation` raises if a rule leaves the points."""
+    index_of = {p: k for k, p in enumerate(points)}
+    perms = {name: rule_permutation(sys, name, rule, index_of) for name, rule in rules.items()}
+    return ActionSpace(tuple(points), index_of, perms)
+
+
 def cube_space(sys: FiniteMPS) -> ActionSpace:
     """All quadruples (x, S^i x, T^j x, S^i T^j x), with the four-transform
     action: the cubes over every point, in order."""
-    transforms = (
-        CubeTransform("side_s", S_STAR),
-        CubeTransform("side_t", T_STAR),
-        CubeTransform("diag_s", diagonal_rule(S_GEN)),
-        CubeTransform("diag_t", diagonal_rule(T_GEN)),
-    )
-    points = tuple(q for x in range(sys.n) for q in cube_over(sys, x))
-    return ActionSpace(base=sys, points=points, transforms=transforms)
+    points = [q for x in range(sys.n) for q in cube_over(sys, x)]
+    rules = {"side_s": S_STAR, "side_t": T_STAR, "diag_s": diagonal_rule(S_GEN), "diag_t": diagonal_rule(T_GEN)}
+    return _action_space(sys, points, rules)
 
 
 def two_sided_cube(sys: FiniteMPS, g: GroupElement) -> ActionSpace:
     """All pairs (x, g^i x), with one side transform and both diagonals."""
     perm = sys.group_perm(g)
-    pairs = {(x, y) for x in range(sys.n) for y in perm_cycle(perm, x)}
-    transforms = (
-        CubeTransform("side", (_ID, g)),
-        CubeTransform("diag_s", (S_GEN, S_GEN)),
-        CubeTransform("diag_t", (T_GEN, T_GEN)),
-    )
-    return ActionSpace(base=sys, points=tuple(sorted(pairs)), transforms=transforms)
+    pairs = sorted({(x, y) for x in range(sys.n) for y in perm_cycle(perm, x)})
+    return _action_space(sys, pairs, {"side": (_ID, g), "diag_s": (S_GEN, S_GEN), "diag_t": (T_GEN, T_GEN)})
 
 
 PairKey = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -196,10 +151,10 @@ def product_cube_identification(first: FiniteMPS, second: FiniteMPS) -> ProductC
         # quadruple k must move to the key of its moved factor pairs.
         y_id, w_id = range(y_pairs.size), range(w_pairs.size)
         moves = (
-            (space.permutation("side_s"), y_pairs.permutation("side"), w_id),
-            (space.permutation("side_t"), y_id, w_pairs.permutation("side")),
-            (space.permutation("diag_s"), y_pairs.permutation("diag_s"), w_id),
-            (space.permutation("diag_t"), y_id, w_pairs.permutation("diag_t")),
+            (space.perms["side_s"], y_pairs.perms["side"], w_id),
+            (space.perms["side_t"], y_id, w_pairs.perms["side"]),
+            (space.perms["diag_s"], y_pairs.perms["diag_s"], w_id),
+            (space.perms["diag_t"], y_id, w_pairs.perms["diag_t"]),
         )
         intertwines = all(
             keys[perm[k]] == (y_move[y], w_move[w]) for perm, y_move, w_move in moves for k, (y, w) in enumerate(keys)

@@ -386,22 +386,18 @@ def system_from_dict(doc: dict) -> FiniteMPS:
 # -- stock systems and seeded generators ------------------------------------
 
 
-def translation_system(
-    a: int, b: int, s: Tuple[int, int], t: Tuple[int, int], weights=None
-) -> FiniteMPS:
-    """Z_a x Z_b with S = +s and T = +t (all translations commute).
+def translation_system(a: int, b: int, s: Tuple[int, int], t: Tuple[int, int]) -> FiniteMPS:
+    """Z_a x Z_b, uniformly weighted, with S = +s and T = +t (all
+    translations commute).
 
     Points are indexed row-major: (u, v) -> u*b + v.
     """
-    n = a * b
-    if weights is None:
-        weights = [Fraction(1, n)] * n
 
     def shift(d):
         du, dv = d
         return [((u + du) % a) * b + ((v + dv) % b) for u in range(a) for v in range(b)]
 
-    return FiniteMPS(weights, shift(s), shift(t))
+    return FiniteMPS([Fraction(1, a * b)] * (a * b), shift(s), shift(t))
 
 
 def z4_diagonal() -> FiniteMPS:

@@ -189,11 +189,11 @@ def verify_joinings(seed: int, trials: int) -> SuiteResult:
     return SuiteResult("joinings", trials, len(findings), tuple(findings))
 
 
-def verify_extension(seed: int, trials: int, max_order: int = 4) -> SuiteResult:
+def verify_extension(seed: int, trials: int) -> SuiteResult:
     rng = Random(seed)
     findings: List[str] = []
     for trial in range(trials):
-        sys = random_ergodic_system(rng, max_order=max_order)
+        sys = random_ergodic_system(rng, max_order=4)
         try:
             ext = magic_extension(sys)
         except Exception as exc:
@@ -229,7 +229,7 @@ def verify_cubes(seed: int, trials: int) -> SuiteResult:
         space = cube_space(sys)
         perms = space.transform_permutations()
         try:
-            check_commuting(perms, space.size, [t.name for t in space.transforms])
+            check_commuting(perms, space.size, list(space.perms))
         except InvalidSystemError as exc:
             findings.append(f"trial {trial}: cube transforms: {exc}")
         if host_measure(sys).quadruple_support() != set(space.points):

@@ -2,12 +2,15 @@
 
 import json
 import sys
+from fractions import Fraction
+from random import Random
 
 import pytest
 
 from ergocubes import cli, joinings
 from ergocubes.cli import main
-from ergocubes.finite import system_to_dict, translation_system, z4_diagonal
+from ergocubes.cubes import two_sided_cube
+from ergocubes.finite import S_GEN, T_GEN, FiniteMPS, random_system, system_to_dict, translation_system, z4_diagonal
 from ergocubes.joinings import MagicReport
 
 
@@ -498,6 +501,45 @@ class TestCube:
         code, out, err = run(capsys, *base, "--starts", "0,9999")
         assert code == 1 and out == ""
         assert err == "error: start point 9999 outside 0..107\n"
+
+    def test_starts_default_to_all(self, capsys):
+        base = ["cube", "--builtin", "grid-2x3", "--schedule", "1,3"]
+        assert run(capsys, *base) == run(capsys, *base, "--starts", "all")
+
+    def test_starts_need_a_schedule(self, capsys):
+        code, out, err = run(capsys, "cube", "--builtin", "grid-2x3", "--starts", "0")
+        assert (code, out, err) == (1, "", "error: --starts needs --schedule\n")
+        code, out, err = run(capsys, "cube", "--builtin", "grid-2x3", "--schedule", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad schedule '': ") and err.count("\n") == 1
+
+    def test_identification_rejects_schedule_and_starts(self, capsys, tmp_path):
+        first = write_system(tmp_path / "s.json", translation_system(2, 1, (1, 0), (0, 0)))
+        second = write_system(tmp_path / "t.json", translation_system(3, 1, (0, 0), (1, 0)))
+        base = ["cube", "--system", first, "--identify-with", second]
+        for extra in (["--schedule", "1,4"], ["--schedule", ""], ["--starts", "all"], ["--schedule", "4", "--starts", "0"]):
+            code, out, err = run(capsys, *base, *extra)
+            assert (code, out, err) == (1, "", "error: --schedule and --starts do not apply to --identify-with\n")
+
+    def test_schedule_needs_a_transitive_cube_space(self, capsys, tmp_path):
+        # two 2-cycles under S, T the identity: two components, so two orbits
+        # of quadruples
+        path = write_system(tmp_path / "two.json", FiniteMPS([Fraction(1, 4)] * 4, [1, 0, 3, 2], [0, 1, 2, 3]))
+        code, out, _ = run(capsys, "cube", "--system", path)
+        assert code == 0
+        assert "quadruples: 8\ntransform orbits: 2\ntransitive: no\n" in out
+        code, out, err = run(capsys, "cube", "--system", path, "--schedule", "1,4")
+        assert (code, out) == (1, "")
+        assert err == "error: empirical comparison against the uniform measure needs a transitive cube space\n"
+
+    def test_pair_space_sizes_match_the_listed_pair_spaces(self, capsys, tmp_path):
+        rng = Random(17)
+        for k in range(12):
+            system = random_system(rng, max_order=4, max_components=3)
+            code, out, _ = run(capsys, "cube", "--system", write_system(tmp_path / f"{k}.json", system))
+            assert code == 0
+            assert f"pair space (S): {two_sided_cube(system, S_GEN).size}\n" in out
+            assert f"pair space (T): {two_sided_cube(system, T_GEN).size}\n" in out
 
     def test_identification(self, capsys, tmp_path):
         first = write_system(tmp_path / "s.json", translation_system(5, 1, (1, 0), (0, 0)))

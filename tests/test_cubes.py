@@ -9,8 +9,6 @@ import pytest
 
 from ergocubes.core import DimensionError, PreconditionError, SparseMeasure
 from ergocubes.cubes import (
-    ActionSpace,
-    CubeTransform,
     cube_space,
     empirical_unique_ergodicity,
     product_cube_identification,
@@ -30,10 +28,22 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import host_measure, magic_extension, rel_indep_square
+from ergocubes.joinings import host_measure, magic_extension, rel_indep_square, rule_permutation
 
 F = Fraction
 ID = GroupElement(0, 0)
+# The coordinate rules of the cube and pair transforms, written out: the
+# reference for the permutations the spaces carry.
+CUBE_RULES = {
+    "side_s": (ID, S_GEN, ID, S_GEN),
+    "side_t": (ID, ID, T_GEN, T_GEN),
+    "diag_s": (S_GEN,) * 4,
+    "diag_t": (T_GEN,) * 4,
+}
+
+
+def pair_rules(g):
+    return {"side": (ID, g), "diag_s": (S_GEN, S_GEN), "diag_t": (T_GEN, T_GEN)}
 
 
 def uniform(n):
@@ -54,7 +64,7 @@ class TestCubeSpace:
     def test_z4_cube_is_all_cycle_patterns(self):
         space = cube_space(z4_diagonal())
         assert space.size == 64
-        assert space.arity == 4
+        assert all(len(point) == 4 for point in space.points)
         expected = {
             ((x) % 4, (x + i) % 4, (x + j) % 4, (x + i + j) % 4)
             for x in range(4)
@@ -62,12 +72,12 @@ class TestCubeSpace:
             for j in range(4)
         }
         assert set(space.points) == expected
-        assert space.is_transitive()
+        assert len(space.orbits()) == 1
 
     def test_diagonal_grid_cube(self):
         space = cube_space(diagonal_grid(2, 3))
         assert space.size == 108
-        assert space.is_transitive()
+        assert len(space.orbits()) == 1
 
     def test_cube_support_equals_quadruple_measure_support(self):
         rng = Random(211)
@@ -101,7 +111,7 @@ class TestCubeSpace:
     def test_uniform_measure_matches_quadruple_measure_on_transitive_cubes(self):
         for sys in (z4_diagonal(), diagonal_grid(2, 3), product_grid(2, 3)):
             space = cube_space(sys)
-            assert space.is_transitive()
+            assert len(space.orbits()) == 1
             hm = host_measure(sys)
             um = space.uniform_measure()
             for quad, mass in hm.mu_st.entries.items():
@@ -125,7 +135,7 @@ class TestCubeSpace:
         rng = Random(229)
         for _ in range(15):
             sys = random_system(rng, max_order=3, max_components=3)
-            for space in (cube_space(sys), two_sided_cube(sys, T_GEN)):
+            for space, rules in ((cube_space(sys), CUBE_RULES), (two_sided_cube(sys, T_GEN), pair_rules(T_GEN))):
                 expected, seen = [], set()
                 for start in range(space.size):
                     if start in seen:
@@ -133,27 +143,24 @@ class TestCubeSpace:
                     orbit, frontier = {start}, [space.points[start]]
                     while frontier:
                         point = frontier.pop()
-                        for t in space.transforms:
-                            image = space.index_of[space.apply(t.name, point)]
+                        for rule in rules.values():
+                            image = space.index_of[tuple(sys.apply(g, x) for g, x in zip(rule, point))]
                             if image not in orbit:
                                 orbit.add(image)
                                 frontier.append(space.points[image])
                     seen |= orbit
                     expected.append(tuple(sorted(orbit)))
                 assert space.orbits() == expected
-                assert space.is_transitive() == (len(expected) == 1)
 
     def test_named_moves_act_as_expected_on_z4(self):
         space = cube_space(z4_diagonal())
-        assert space.apply("side_s", (0, 1, 2, 3)) == (0, 2, 2, 0)
-        assert space.apply("side_t", (0, 1, 2, 3)) == (0, 1, 3, 0)
-        assert space.apply("diag_s", (0, 1, 2, 3)) == (1, 2, 3, 0)
-        assert space.apply("diag_t", (0, 1, 2, 3)) == (1, 2, 3, 0)
-
-    def test_apply_rejects_unknown_transform(self):
-        space = cube_space(z4_diagonal())
-        with pytest.raises(ValueError, match="unknown transform"):
-            space.apply("sideways", (0, 0, 0, 0))
+        k = space.index_of[(0, 1, 2, 3)]
+        assert {name: space.points[perm[k]] for name, perm in space.perms.items()} == {
+            "side_s": (0, 2, 2, 0),
+            "side_t": (0, 1, 3, 0),
+            "diag_s": (1, 2, 3, 0),
+            "diag_t": (1, 2, 3, 0),
+        }
 
 
 class TestTwoSidedCube:
@@ -175,77 +182,41 @@ class TestTwoSidedCube:
     def test_transforms_preserve_pairs(self):
         sys = diagonal_grid(2, 3)
         space = two_sided_cube(sys, T_GEN)
-        for name in ("side", "diag_s", "diag_t"):
+        for rule in pair_rules(T_GEN).values():
             for pair in space.points:
-                assert space.apply(name, pair) in space.index_of
-
-
-class TestActionSpaceValidation:
-    def test_rejects_duplicate_points(self):
-        sys = z4_diagonal()
-        with pytest.raises(ValueError, match="duplicate tuples"):
-            ActionSpace(base=sys, points=((0, 0), (0, 0)), transforms=())
-
-    def test_rejects_arity_mismatch(self):
-        sys = z4_diagonal()
-        with pytest.raises(DimensionError, match="has arity 4, points have 2"):
-            ActionSpace(
-                base=sys,
-                points=((0, 0), (0, 1)),
-                transforms=(CubeTransform("diag", (S_GEN, S_GEN, S_GEN, S_GEN)),),
-            )
-
-    def test_apply_rejects_points_leaving_the_space(self):
-        sys = z4_diagonal()
-        space = ActionSpace(
-            base=sys,
-            points=((0, 0),),
-            transforms=(CubeTransform("side", (ID, S_GEN)),),
-        )
-        with pytest.raises(ValueError, match="leaves the space"):
-            space.apply("side", (0, 0))
+                assert tuple(sys.apply(g, x) for g, x in zip(rule, pair)) in space.index_of
+        for perm in space.perms.values():
+            assert sorted(perm) == list(range(space.size))
 
 
 class TestTransformPermutations:
     def test_cached_permutations_match_a_literal_apply_walk(self):
         # each transform's permutation against its rule applied point by point
         # through sys.apply: the cube space and the pair spaces of S, T and
-        # S^2 T^-1 on 30 seeded systems, 120 spaces
+        # S^2 T^-1 on 30 seeded systems, 120 spaces, each listed without
+        # repeats and indexed in order
         spaces = 0
         for sys in seeded_systems(241, 15):
-            pair_spaces = [two_sided_cube(sys, g) for g in (S_GEN, T_GEN, GroupElement(2, -1))]
-            for space in (cube_space(sys), *pair_spaces):
-                for t, perm in zip(space.transforms, space.transform_permutations()):
-                    moved = [tuple(sys.apply(g, x) for g, x in zip(t.rule, point)) for point in space.points]
-                    assert perm == tuple(space.index_of[image] for image in moved)
-                    assert space.permutation(t.name) is perm
+            pair_spaces = [(two_sided_cube(sys, g), pair_rules(g)) for g in (S_GEN, T_GEN, GroupElement(2, -1))]
+            for space, rules in ((cube_space(sys), CUBE_RULES), *pair_spaces):
+                assert space.index_of == {point: k for k, point in enumerate(space.points)}
+                assert len(space.index_of) == space.size
+                assert list(space.perms) == list(rules)
+                for name, rule in rules.items():
+                    moved = [tuple(sys.apply(g, x) for g, x in zip(rule, point)) for point in space.points]
+                    assert space.perms[name] == tuple(space.index_of[image] for image in moved)
+                assert space.transform_permutations() == list(space.perms.values())
                 spaces += 1
         assert spaces >= 100
 
-    def test_apply_rejects_points_outside_the_space(self):
-        space = cube_space(z4_diagonal())
-        with pytest.raises(ValueError, match=r"\(0, 0, 0, 1\) is not a point of the space"):
-            space.apply("side_s", (0, 0, 0, 1))
-
-    def test_an_open_space_fails_only_where_a_transform_leaves_it(self):
-        space = ActionSpace(
-            base=z4_diagonal(),
-            points=((0, 0), (0, 1)),
-            transforms=(CubeTransform("stay", (ID, ID)), CubeTransform("side", (ID, S_GEN))),
-        )
-        assert space.apply("stay", (0, 1)) == (0, 1)
+    def test_rule_permutation_rejects_a_rule_leaving_the_space(self):
+        # (0, 0) moves to (0, 1) under the side rule, and (0, 1) to (0, 2),
+        # which is not listed
+        sys = z4_diagonal()
+        index_of = {(0, 0): 0, (0, 1): 1}
+        assert rule_permutation(sys, "stay", (ID, ID), index_of) == (0, 1)
         with pytest.raises(ValueError, match=r"transform side leaves the space at \(0, 1\)"):
-            space.apply("side", (0, 0))
-        with pytest.raises(ValueError, match="leaves the space"):
-            space.orbits()
-
-    def test_rejects_duplicate_transform_names(self):
-        with pytest.raises(ValueError, match="duplicate transform names"):
-            ActionSpace(
-                base=z4_diagonal(),
-                points=((0, 0),),
-                transforms=(CubeTransform("t", (ID, ID)), CubeTransform("t", (S_GEN, S_GEN))),
-            )
+            rule_permutation(sys, "side", (ID, S_GEN), index_of)
 
 
 class TestProductIdentification:
