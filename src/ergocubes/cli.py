@@ -35,6 +35,7 @@ from .finite import (
     diagonal_grid,
     is_ergodic,
     is_free,
+    partition_s,
     partition_st,
     partition_t,
     product_grid,
@@ -369,37 +370,40 @@ def cmd_cube(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if report.identified else 2
-    space = cube_space(system)
+    # Counts from the orbit data.  The cube over x is (x, S^i x, T^j x, S^i T^j x), i < a_x,
+    # j < b_x; side moves shift (i, j) and diagonals carry it onto the cubes over Sx and Tx,
+    # so the transform orbits are the joint orbits.  The pairs (x, g^i x) are the supp mu_S
+    # of the (T x T)-orbits for g = S, each T-orbit squared for g = T.  supp mu_{S,T} holds
+    # every cube, so equal counts mean equal sets.
+    ps, pt = partition_s(system), partition_t(system)
+    s_len, t_len = ([len(block) for block in p.blocks()] for p in (ps, pt))
+    quadruples = sum(s_len[s] * t_len[t] for s, t in zip(ps.block_of, pt.block_of))
+    orbit_count = partition_st(system).num_blocks
     hm = host_measure(system)
-    orbit_count = len(space.orbits())
-    transitive = orbit_count == 1
-    # the pairs (x, g^i x) are the supp mu_S of the (T x T)-orbits for g = S,
-    # and each T-orbit squared for g = T
     lines = [
-        f"quadruples: {space.size}",
+        f"quadruples: {quadruples}",
         f"transform orbits: {orbit_count}",
-        f"transitive: {_yesno(transitive)}",
+        f"transitive: {_yesno(orbit_count == 1)}",
         f"pair space (S): {sum(len(orbit) for orbit in hm.orbits)}",
-        f"pair space (T): {sum(len(block) ** 2 for block in partition_t(system).blocks())}",
+        f"pair space (T): {sum(n * n for n in t_len)}",
     ]
-    support_matches = hm.quadruple_support() == set(space.points)
+    support_matches = sum(len(orbit) ** 2 for orbit in hm.orbits) == quadruples
     lines.append(f"quadruple measure supported on cube space: {_yesno(support_matches)}")
-    violation = not support_matches
     if args.schedule is not None:
         schedule = _parse_schedule(args.schedule)
-        if not transitive:
+        if orbit_count != 1:
             raise CliError("empirical comparison against the uniform measure needs a transitive cube space")
-        reference = space.uniform_measure()
+        space = cube_space(system)
         try:
             starts = "all" if args.starts in (None, "all") else [int(s) for s in args.starts.split(",")]
         except ValueError:
             raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
-        report = empirical_unique_ergodicity(space.transform_permutations(), reference, starts, schedule)
+        report = empirical_unique_ergodicity(list(space.perms.values()), space.uniform_measure(), starts, schedule)
         lines.append("empirical deviation from uniform (worst start):")
         for row in report.rows:
             lines.append(f"  N={row.N}: {format_fraction(row.value)} (~{float(row.value):.6f})")
     _emit("\n".join(lines) + "\n", args.out)
-    return 2 if violation else 0
+    return 0 if support_matches else 2
 
 
 # -- verify ------------------------------------------------------------------

@@ -46,13 +46,9 @@ class ActionSpace:
     def size(self) -> int:
         return len(self.points)
 
-    def transform_permutations(self) -> List[Tuple[int, ...]]:
-        """Each transform as a permutation of point indices (they commute)."""
-        return list(self.perms.values())
-
     def orbits(self) -> List[Tuple[int, ...]]:
         """Orbits of the transform group on point indices, by smallest member."""
-        return orbit_partition(self.transform_permutations(), self.size).blocks()
+        return orbit_partition(self.perms.values(), self.size).blocks()
 
     def uniform_measure(self) -> SparseMeasure:
         """Uniform probability on point indices: the only candidate invariant

@@ -291,7 +291,7 @@ def test_criterion_7_cube_structure():
         ("grid-2x3", diagonal_grid),
     ):
         space = cube_space(builder())
-        perms = space.transform_permutations()
+        perms = list(space.perms.values())
         period = math.lcm(*(_cycle_length(p, 0) for p in perms))
         uniform = space.uniform_measure()
         report = empirical_unique_ergodicity(perms, uniform, "all", [period, 2 * period])

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -9,9 +10,20 @@ import pytest
 
 from ergocubes import cli, joinings
 from ergocubes.cli import main
-from ergocubes.cubes import two_sided_cube
-from ergocubes.finite import S_GEN, T_GEN, FiniteMPS, random_system, system_to_dict, translation_system, z4_diagonal
-from ergocubes.joinings import MagicReport
+from ergocubes.cubes import cube_space, two_sided_cube
+from ergocubes.finite import (
+    S_GEN,
+    T_GEN,
+    FiniteMPS,
+    is_ergodic,
+    product_grid,
+    random_ergodic_system,
+    random_system,
+    system_to_dict,
+    translation_system,
+    z4_diagonal,
+)
+from ergocubes.joinings import MagicReport, host_measure, magic_extension
 
 
 def run(capsys, *argv):
@@ -521,9 +533,13 @@ class TestCube:
             code, out, err = run(capsys, *base, *extra)
             assert (code, out, err) == (1, "", "error: --schedule and --starts do not apply to --identify-with\n")
 
-    def test_schedule_needs_a_transitive_cube_space(self, capsys, tmp_path):
+    def test_schedule_needs_a_transitive_cube_space(self, capsys, tmp_path, monkeypatch):
         # two 2-cycles under S, T the identity: two components, so two orbits
-        # of quadruples
+        # of quadruples; neither report may list the cube space
+        def unlisted(system):
+            raise AssertionError("the cube space was listed")
+
+        monkeypatch.setattr(cli, "cube_space", unlisted)
         path = write_system(tmp_path / "two.json", FiniteMPS([Fraction(1, 4)] * 4, [1, 0, 3, 2], [0, 1, 2, 3]))
         code, out, _ = run(capsys, "cube", "--system", path)
         assert code == 0
@@ -533,13 +549,44 @@ class TestCube:
         assert err == "error: empirical comparison against the uniform measure needs a transitive cube space\n"
 
     def test_pair_space_sizes_match_the_listed_pair_spaces(self, capsys, tmp_path):
+        # every count line against the listed route: the cube space and its
+        # orbits, supp mu_{S,T} as a set, and the two pair spaces
         rng = Random(17)
-        for k in range(12):
-            system = random_system(rng, max_order=4, max_components=3)
-            code, out, _ = run(capsys, "cube", "--system", write_system(tmp_path / f"{k}.json", system))
-            assert code == 0
-            assert f"pair space (S): {two_sided_cube(system, S_GEN).size}\n" in out
-            assert f"pair space (T): {two_sided_cube(system, T_GEN).size}\n" in out
+        corpus = [random_system(rng, max_order=4, max_components=3) for _ in range(12)]
+        draws = (random_system(rng, max_order=3, max_components=3) for _ in range(60))
+        corpus += [s for s in draws if not is_ergodic(s) and len(set(s.weights)) > 1][:8]
+        corpus += [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(4)]
+        transitive = 0
+        for k, system in enumerate(corpus):
+            space = cube_space(system)
+            orbits = len(space.orbits())
+            support = host_measure(system).quadruple_support() == set(space.points)
+            transitive += orbits == 1
+            expected = (
+                f"quadruples: {space.size}\n"
+                f"transform orbits: {orbits}\n"
+                f"transitive: {'yes' if orbits == 1 else 'no'}\n"
+                f"pair space (S): {two_sided_cube(system, S_GEN).size}\n"
+                f"pair space (T): {two_sided_cube(system, T_GEN).size}\n"
+                f"quadruple measure supported on cube space: {'yes' if support else 'no'}\n"
+            )
+            code, out, err = run(capsys, "cube", "--system", write_system(tmp_path / f"{k}.json", system))
+            assert (code, out, err) == (0 if support else 2, expected, "")
+        assert len(corpus) == 24 and 4 <= transitive <= 20
+
+    def test_report_memory_follows_the_pair_support(self, capsys, tmp_path):
+        # product_grid(40, 40): 64,000 pairs in supp mu_S but 2,560,000
+        # quadruples, which a listed cube space would hold at once
+        path = write_system(tmp_path / "grid.json", product_grid(40, 40))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "cube", "--system", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.startswith("quadruples: 2560000\ntransform orbits: 1\n")
+        assert peak < 16 * 2**20
 
     def test_identification(self, capsys, tmp_path):
         first = write_system(tmp_path / "s.json", translation_system(5, 1, (1, 0), (0, 0)))
