@@ -23,6 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -190,13 +191,17 @@ def fourfold_average(
 
     The residue pair (i mod a, (i+k) mod a) occurs cs[r] * cs[(r'-r) mod a]
     times because k itself ranges over a full window; likewise in j, p.
+    With (q, rho) = divmod(N, b), window_counts(N, b)[s] = q + [s < rho], so
+    the inner sum over s' of ct[(s'-s) mod b] R[s'] is q sum(R) plus the sum
+    of R over the rho cells from s on, one window of a prefix sum: each
+    window costs O(a^2 b) integer products.
     """
     _check_average_args(sys, (f0, f1, f2, f3), x, N)
     a, b, grid = sys.orbit_grid(x)
     cs, ct = window_counts(N, a), window_counts(N, b)
+    q, rho = divmod(N, b)
     scaled = [f.scaled for f in (f0, f1, f2, f3)]
     F0, F1, F2, F3 = ([[u[p] for p in row] for row in grid] for u, _ in scaled)
-    shifted = [[ct[(s2 - s) % b] for s2 in range(b)] for s in range(b)]
     total = 0
     for r in range(a):
         if not cs[r]:
@@ -207,7 +212,9 @@ def fourfold_average(
                 continue
             left = [t * u * v for t, u, v in zip(ct, F0[r], F1[r2])]
             right = list(map(mul, F2[r], F3[r2]))
-            inner = sum(w * sum(map(mul, k, right)) for w, k in zip(left, shifted) if w)
+            prefix = list(accumulate(right + right[:rho], initial=0))
+            full = q * prefix[b]
+            inner = sum(w * (full + hi - lo) for w, lo, hi in zip(left, prefix, prefix[rho:]) if w)
             total += cs[r] * shift * inner
     return Fraction(total, N**4 * math.prod(d for _, d in scaled))
 

@@ -4,8 +4,9 @@ The continuous companion to the finite systems: S and T rotate the circle by
 fixed amounts alpha and beta.  For a rotation pair with no rational relations
 the limits of every average have closed Fourier forms, so this module provides
 those analytic oracles next to a numerical engine that evaluates the averages
-at finite N.  Rotation amounts are stored as high-precision Fractions so that
-phases like (x + i*alpha) mod 1 reduce exactly before any float rounding.
+at finite N.  Rotation amounts are stored as high-precision Fractions, and
+every phase like (x + i*alpha) mod 1 is reduced exactly in integers over the
+denominators of alpha, beta and x before any float rounding.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def fourier_host_integral(system: TorusSystem, f0: TrigPoly, f1: TrigPoly, f2: T
 
     For a generic pair the four-fold self-joining is the image of three
     independent uniform coordinates (x0, x1, x2, x1 + x2 - x0), and matching
-    frequencies kills everything except the diagonal above.
+    frequencies kills everything except the diagonal above.  Error bound:
+    unless a product of coefficients underflows, the result is within
+    2**-48 * prod_i f_i.sup_bound of the exact sum at the given coefficients.
     """
     _require_generic(system, "the four-fold integral formula")
     terms = [
@@ -152,7 +155,13 @@ def fourier_host_integral(system: TorusSystem, f0: TrigPoly, f1: TrigPoly, f2: T
 
 def fourier_cubic_limit(system: TorusSystem, f1: TrigPoly, f2: TrigPoly, f3: TrigPoly, x) -> float:
     """Exact pointwise limit of the cubic average at start x:
-    sum_n c1(n) c2(n) c3(-n) e^{2 pi i n x}."""
+    sum_n c1(n) c2(n) c3(-n) e^{2 pi i n x}.
+
+    Error bound: unless a product of coefficients underflows, the result is
+    within (1 + f1.degree) * 2**-46 * prod_i f_i.sup_bound of the exact sum
+    at the given coefficients and the exact start; the degree enters because
+    each phase n x is rounded as a float.
+    """
     _require_generic(system, "the cubic limit formula")
     x = float(as_fraction(x) % 1)
     terms = []
@@ -164,31 +173,31 @@ def fourier_cubic_limit(system: TorusSystem, f1: TrigPoly, f2: TrigPoly, f3: Tri
     return math.fsum(terms)
 
 
-def _e(theta: Fraction) -> complex:
-    """exp(2 pi i theta), with theta reduced mod 1 exactly before rounding."""
-    angle = 2.0 * math.pi * float(theta % 1)
+def _e(num: int, den: int) -> complex:
+    """exp(2 pi i num/den), with num reduced mod den exactly before rounding."""
+    angle = 2.0 * math.pi * (num % den / den)
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _sin_pi(u: Fraction) -> float:
-    """sin(pi u), with u reduced exactly into [0, 1/2] before rounding, so the
-    float argument keeps full relative precision next to every zero."""
-    u %= 2
+def _sin_pi(m: int, q: int) -> float:
+    """sin(pi m/q), with m/q reduced exactly into [0, 1/2] before rounding, so
+    the float argument keeps full relative precision next to every zero."""
+    m %= 2 * q
     sign = 1.0
-    if u > 1:
-        u, sign = u - 1, -1.0
-    if 2 * u > 1:
-        u = 1 - u
-    return sign * math.sin(math.pi * float(u))
+    if m > q:
+        m, sign = m - q, -1.0
+    if 2 * m > q:
+        m = q - m
+    return sign * math.sin(math.pi * (m / q))
 
 
-def _mean_phase(t: Fraction, N: int) -> complex:
-    """(1/N) sum_{k<N} e^{2 pi i k t} in sin-ratio form,
-    e((N-1) t / 2) sin(pi N t) / (N sin(pi t))."""
-    t %= 1
-    if t == 0:
+def _mean_phase(p: int, q: int, N: int) -> complex:
+    """(1/N) sum_{k<N} e^{2 pi i k p/q} in sin-ratio form,
+    e((N-1) p / 2q) sin(pi N p/q) / (N sin(pi p/q))."""
+    p %= q
+    if p == 0:
         return complex(1.0)
-    return _e((N - 1) * t / 2) * (_sin_pi(N * t) / (N * _sin_pi(t)))
+    return _e((N - 1) * p, 2 * q) * (_sin_pi(N * p, q) / (N * _sin_pi(p, q)))
 
 
 # Expanding every observable of a box sum in frequencies turns the sum into
@@ -231,19 +240,22 @@ def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly
 
     The box sum is evaluated term by term over frequency tuples (see
     _BOXES), each geometric sum once per frequency, so the cost is
-    O(deg^4) whatever N is.  Every phase is reduced exactly as a Fraction
-    before it becomes a float.  Error bound: for every N the result is
-    within 2**-44 * prod_i f_i.sup_bound of the exact box average at the
-    stored rotation amounts and start (for windowed_sn the product is
-    f.sup_bound ** 4).  Raises ValueError when twice that product is not a
-    finite float, or when N is above the largest float.
+    O(deg^4) whatever N is.  Every phase is reduced exactly in integers over
+    the denominators of alpha, beta and x before it becomes a float.  Error
+    bound: for every N the result is within 2**-44 * prod_i f_i.sup_bound of
+    the exact box average at the stored rotation amounts and start (for
+    windowed_sn the product is f.sup_bound ** 4).  Raises ValueError when
+    twice that product is not a finite float, or when N is above the largest
+    float.
     """
     _check_torus_args(kind, observables, N)
     polys = list(observables) * 4 if kind == "windowed_sn" else observables
-    x = as_fraction(x) % 1
-    mean_a = functools.cache(lambda k: _mean_phase(k * system.alpha, N))
-    mean_b = functools.cache(lambda k: _mean_phase(k * system.beta, N))
-    phase = functools.cache(lambda m: _e(m * x))
+    pa, qa = system.alpha.as_integer_ratio()
+    pb, qb = system.beta.as_integer_ratio()
+    px, qx = as_fraction(x).as_integer_ratio()
+    mean_a = functools.cache(lambda k: _mean_phase(k * pa, qa, N))
+    mean_b = functools.cache(lambda k: _mean_phase(k * pb, qb, N))
+    phase = functools.cache(lambda m: _e(m * px, qx))
     terms = []
     for items in itertools.product(*(sorted(f.coeffs.items()) for f in polys)):
         ns = [n for n, _ in items]

@@ -150,6 +150,20 @@ class TestFourfoldAverage:
                 sys, *obs, x, N
             )
 
+    @pytest.mark.parametrize(
+        "sys, sizes",
+        [(diagonal_grid(6, 4), (1, 3, 4, 5, 8)), (product_grid(4, 6), (1, 5, 6, 7, 12))],
+        ids=["diagonal-6x4", "product-4x6"],
+    )
+    def test_matches_naive_where_the_window_count_is_flat_or_short(self, sys, sizes):
+        # orbit grids 12 x 4 and 4 x 6; with (q, rho) = divmod(N, b) the sizes
+        # cover q = 0, rho = 0, q = rho = 1 and N = 1
+        rng = Random(337)
+        for N in sizes:
+            for x in (0, sys.n - 1):
+                obs = [mixed_observable(rng, sys.n) for _ in range(4)]
+                assert fourfold_average(sys, *obs, x, N) == fourfold_average_naive(sys, *obs, x, N), (N, x)
+
     def test_stabilizes_at_joining_integral_on_ergodic_systems(self):
         rng = Random(317)
         for _ in range(10):

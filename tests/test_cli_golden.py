@@ -9,6 +9,9 @@ spaces became plain records of points and index permutations.
 `cube --builtin grid-2x3` and `cube --builtin product-2x3 --schedule 1,4,8`
 were recorded from the code that still listed the whole cube space for every
 `cube` report, before its count lines were read off the orbit data.  The
+`torus-sqrt23` runs at `pow2:30..60` with start 5/7 were recorded from the
+code that still reduced every torus phase as a `Fraction`; they pin the float
+bits where N times a 128-bit rotation amount must be reduced exactly.  The
 recording is the spec: it is never re-recorded to agree with a change.
 """
 
@@ -30,6 +33,10 @@ GOLDEN_ARGVS = [
 ]
 GOLDEN_ARGVS += [
     ["average", "--builtin", "torus-sqrt23", "--kind", kind, TRIG, "--start", "1/3", "--schedule", "pow2:0..8"]
+    for kind in KINDS
+]
+GOLDEN_ARGVS += [
+    ["average", "--builtin", "torus-sqrt23", "--kind", kind, TRIG, "--start", "5/7", "--schedule", "pow2:30..60"]
     for kind in KINDS
 ]
 GOLDEN_ARGVS += [

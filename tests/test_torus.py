@@ -13,6 +13,7 @@ import mpmath
 import pytest
 
 import ergocubes
+from ergocubes import torus
 from ergocubes.averaging import AVERAGE_KINDS
 from ergocubes.core import DimensionError, PreconditionError
 from ergocubes.torus import (
@@ -155,6 +156,48 @@ class TestAnalyticOracles:
             fourier_cubic_limit(rational, cos1, cos1, cos1, 0)
 
 
+def mp_coeff(c):
+    return mpmath.mpc(c.real, c.imag)
+
+
+class TestReferenceErrorBounds:
+    """The stated bounds of the two analytic references against a 40-digit
+    evaluation of the same sums at the same float coefficients.  Neither
+    formula reads the rotation amounts, so the rational pair is declared
+    generic only to reach them."""
+
+    SYSTEMS = (sqrt23_system(), TorusSystem(F(1, 3), F(2, 7), generic=True))
+    SHAPES = [(max_freq, scale) for max_freq in (0, 1, 3, 12) for scale in (1.0, 1e-3, 1e5)]
+
+    def test_host_integral(self):
+        rng = Random(461)
+        for sys in self.SYSTEMS:
+            for max_freq, scale in self.SHAPES:
+                fs = [random_poly(rng, max_freq, scale) for _ in range(4)]
+                bound = 2.0**-48 * math.prod(f.sup_bound for f in fs)
+                with mpmath.workdps(40):
+                    exact = mpmath.fsum(
+                        mp_coeff(fs[0].coeff(n)) * mp_coeff(fs[1].coeff(-n)) * mp_coeff(fs[2].coeff(-n)) * mp_coeff(fs[3].coeff(n))
+                        for n in fs[0].coeffs
+                    ).real
+                    assert abs(fourier_host_integral(sys, *fs) - exact) <= bound, (max_freq, scale)
+
+    def test_cubic_limit(self):
+        rng = Random(463)
+        for sys in self.SYSTEMS:
+            for max_freq, scale in self.SHAPES:
+                f1, f2, f3 = (random_poly(rng, max_freq, scale) for _ in range(3))
+                bound = (1 + f1.degree) * 2.0**-46 * f1.sup_bound * f2.sup_bound * f3.sup_bound
+                for x in (0, F(1, 2), F(5, 7), F(rng.randrange(10**15), 10**15 + 37)):
+                    with mpmath.workdps(40):
+                        theta = mpmath.mpf(x.numerator) / x.denominator
+                        exact = mpmath.fsum(
+                            mp_coeff(f1.coeff(n)) * mp_coeff(f2.coeff(n)) * mp_coeff(f3.coeff(-n)) * mpmath.expjpi(2 * n * theta)
+                            for n in f1.coeffs
+                        ).real
+                        assert abs(fourier_cubic_limit(sys, f1, f2, f3, x) - exact) <= bound, (max_freq, scale, x)
+
+
 class TestTorusAverages:
     def test_fast_matches_naive_for_all_kinds(self):
         rng = Random(409)
@@ -234,6 +277,80 @@ class TestTorusAverages:
             value = torus_average(sys, kind, obs, x, 2**40)
             assert math.isfinite(value), kind
             assert abs(value - limit) < 2e-2, kind
+
+
+def period_quadruple_average(sys, kind, observables, x, pa, pb):
+    """The four-index box sum of `kind` with i, k over one period pa of alpha
+    and j, p over one period pb of beta.  Over a window N that both periods
+    divide every index residue is hit N / period times, so this equals the
+    window average at N."""
+    fs = list(observables) * 4 if kind == "windowed_sn" else observables
+
+    def at(f, i, j):
+        return f.value(float((x + i * sys.alpha + j * sys.beta) % 1))
+
+    total = math.fsum(
+        at(fs[0], i, j) * at(fs[1], i + k, j) * at(fs[2], i, j + p) * at(fs[3], i + k, j + p)
+        for i, k, j, p in itertools.product(range(pa), range(pa), range(pb), range(pb))
+    )
+    mean = total / (pa * pa * pb * pb)
+    return abs(mean) if kind == "windowed_sn" else mean
+
+
+class TestExactZerosAndHalves:
+    """(1/3, 2/7) at windows that both periods divide: every N k alpha and
+    N k beta is an integer, so each geometric mean is exactly 1 (k alpha or
+    k beta an integer, negative k included) or 0, and the start 1/2 puts
+    every start phase at exactly +1 or -1."""
+
+    SYSTEM = TorusSystem(F(1, 3), F(2, 7))
+
+    @pytest.mark.parametrize("kind", ["birkhoff_1d", "birkhoff_2d", "cubic"])
+    def test_box_kinds_match_naive(self, kind):
+        rng = Random(439)
+        for N in (21, 42):
+            for x in (0, F(1, 2)):
+                obs = [random_poly(rng, max_freq=3) for _ in range(AVERAGE_KINDS[kind])]
+                fast = torus_average(self.SYSTEM, kind, obs, x, N)
+                slow = torus_average_naive(self.SYSTEM, kind, obs, x, N)
+                assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9), (N, x)
+
+    @pytest.mark.parametrize("kind", ["windowed_sn", "fourfold"])
+    def test_quadruple_kinds_match_the_period_box(self, kind):
+        # the N^4 naive loop takes seconds at N = 21; one period per index
+        # gives the same box average (checked against the naive loop below)
+        rng = Random(443)
+        for N in (21, 42):
+            for x in (0, F(1, 2)):
+                obs = [random_poly(rng, max_freq=3) for _ in range(AVERAGE_KINDS[kind])]
+                fast = torus_average(self.SYSTEM, kind, obs, x, N)
+                slow = period_quadruple_average(self.SYSTEM, kind, obs, x, 3, 7)
+                assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9), (N, x)
+
+    @pytest.mark.parametrize("kind", ["windowed_sn", "fourfold"])
+    def test_the_period_box_is_the_naive_box_sum(self, kind):
+        sys = TorusSystem(F(1, 2), F(2, 3))
+        rng = Random(449)
+        for x in (0, F(1, 2)):
+            obs = [random_poly(rng, max_freq=3) for _ in range(AVERAGE_KINDS[kind])]
+            slow = torus_average_naive(sys, kind, obs, x, 6)
+            assert math.isclose(period_quadruple_average(sys, kind, obs, x, 2, 3), slow, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_geometric_means_do_not_grow_with_the_window(monkeypatch):
+    calls = []
+    mean_phase = torus._mean_phase
+    monkeypatch.setattr(torus, "_mean_phase", lambda p, q, N: calls.append(N) or mean_phase(p, q, N))
+    rng = Random(457)
+    for kind, arity in AVERAGE_KINDS.items():
+        obs = [random_poly(rng, max_freq=2) for _ in range(arity)]
+        counts = []
+        for N in (2**4, 2**60):
+            calls.clear()
+            torus_average(sqrt23_system(), kind, obs, F(5, 7), N)
+            assert calls and set(calls) == {N}
+            counts.append(len(calls))
+        assert counts[0] == counts[1], kind
 
 
 def mp_value(f, theta):
