@@ -1,0 +1,387 @@
+"""The references the tests check the program against, and the seeded inputs
+they draw.
+
+Every reference here is an older route or a literal loop: a walk one step at
+a time, a brute-force search, a listed measure.  They are the spec, and they
+stay independent of what they check: `tests/test_hygiene.py` allows this
+module only a short list of imports from ergocubes, and forbids each
+reference to reach the program name it checks.
+"""
+
+from fractions import Fraction
+from functools import cache
+from itertools import product
+from random import Random
+
+from ergocubes.core import Observable, PreconditionError
+from ergocubes.finite import (
+    FiniteMPS,
+    FreenessResult,
+    diagonal_grid,
+    ergodic_decomposition,
+    is_ergodic,
+    product_grid,
+    random_ergodic_system,
+    random_system,
+    translation_system,
+    z4_diagonal,
+)
+from ergocubes.joinings import (
+    S_STAR,
+    T_STAR,
+    ComponentSummary,
+    ExtensionConstructionError,
+    MagicExtension,
+    host_measure,
+    invariant_w,
+    is_magic,
+    magic_extension,
+    rel_indep_square,
+)
+
+F = Fraction
+
+
+def literal_cycle(perm, x):
+    """The cycle of `perm` through x, walked one step at a time from x."""
+    cycle, y = [x], perm[x]
+    while y != x:
+        cycle.append(y)
+        y = perm[y]
+    return cycle
+
+
+def literal_cycle_length(perm, x):
+    return len(literal_cycle(perm, x))
+
+
+def literal_apply(sys, i, j, x):
+    """S^i T^j x, walked one S, S^-1, T or T^-1 step at a time."""
+    for perm, e in ((sys.S, i), (sys.T, j)):
+        step = perm if e >= 0 else {y: p for p, y in enumerate(perm)}
+        for _ in range(abs(e)):
+            x = step[x]
+    return x
+
+
+def literal_birkhoff(sys, f, x, gens, N):
+    """The Birkhoff box sum, each point walked one step at a time."""
+    total = F(0)
+    for ks in product(range(N), repeat=len(gens)):
+        y = x
+        for g, k in zip(gens, ks):
+            y = literal_apply(sys, k * g.i, k * g.j, y)
+        total += f.values[y]
+    return total / N ** len(gens)
+
+
+def literal_box_hits(step, start, d, N):
+    """Every exponent tuple of [0, N)^d walked one step at a time."""
+    hits = {}
+    for exponents in product(range(N), repeat=d):
+        p = start
+        for t, e in enumerate(exponents):
+            for _ in range(e):
+                p = step(t, p)
+        hits[p] = hits.get(p, 0) + 1
+    return hits
+
+
+def cycle_patterns(m):
+    """The quadruples (x, x+i, x+j, x+i+j) mod m: every cube of the m-cycle
+    with S = T = +1, listed by hand."""
+    return {(x, (x + i) % m, (x + j) % m, (x + i + j) % m) for x, i, j in product(range(m), repeat=3)}
+
+
+def autocorrelation_fourth_power(f):
+    """|||f|||^4 on the m-cycle with S = T = +1, m = f.n.  The quadruple
+    measure is uniform on the patterns (x, x+i, x+j, x+i+j), so
+      |||f|||^4 = (1/m^3) sum_{x,i,j} f(x) f(x+i) f(x+j) f(x+i+j)
+                = (1/m)  sum_i (sum_x f(x) f(x+i) / m)^2,
+    a pure autocorrelation identity, independent of the joining machinery."""
+    m, v = f.n, f.values
+    auto = [sum(v[x] * v[(x + d) % m] for x in range(m)) / F(m) for d in range(m)]
+    return sum((a * a for a in auto), F(0)) / m
+
+
+def is_free_brute(sys):
+    """Tabulate T's powers and walk S's, over the whole window
+    0 <= i < ord(S), 0 <= j < ord(T); returns the least i >= 1, then the
+    least j >= 0, with S^i T^j = id."""
+    if sys.order_s() == 1:
+        return FreenessResult(False, (1, 0))
+    if sys.order_t() == 1:
+        return FreenessResult(False, (0, 1))
+    identity = tuple(range(sys.n))
+    # S^i T^j = id  iff  T^j = S^{-i}; index the T-powers once.
+    t_powers = {}
+    perm = identity
+    for j in range(sys.order_t()):
+        t_powers.setdefault(perm, j)
+        perm = tuple(sys.T[x] for x in perm)
+    perm = identity
+    s_inv = [0] * sys.n
+    for x in range(sys.n):
+        s_inv[sys.S[x]] = x
+    for i in range(sys.order_s()):
+        j = t_powers.get(perm)
+        if j is not None and (i, j) != (0, 0):
+            return FreenessResult(False, (i, j))
+        perm = tuple(s_inv[x] for x in perm)  # now perm = S^{-(i+1)}
+    return FreenessResult(True, None)
+
+
+def closure_orbits(sys):
+    """The (T x T)-orbits of supp mu_S by literal closure: the reference for
+    `host_measure`'s parametrized orbits."""
+    seen, orbits = set(), set()
+    for pair in sorted(rel_indep_square(sys).entries):
+        orbit = []
+        cur = pair
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = (sys.T[cur[0]], sys.T[cur[1]])
+        if orbit:
+            orbits.add(frozenset(orbit))
+    return orbits
+
+
+def measurable_by_spread(sys):
+    """The measurability check by spreading each orbit's Fraction masses over
+    W-block products: the reference for the counting `measurability_check`."""
+    hm = host_measure(sys)
+    w_part = invariant_w(sys)
+    w_blocks = w_part.blocks()
+    w_mass = [sum((sys.weights[x] for x in block), F(0)) for block in w_blocks]
+    mu_s = rel_indep_square(sys).entries
+    for orbit in hm.orbits:
+        spread = {}
+        for (a, b) in orbit:
+            w_ab = mu_s[(a, b)]
+            ba, bb = w_part.block_of[a], w_part.block_of[b]
+            scale = w_ab / (w_mass[ba] * w_mass[bb])
+            for x in w_blocks[ba]:
+                wx = sys.weights[x] * scale
+                for y in w_blocks[bb]:
+                    key = (x, y)
+                    spread[key] = spread.get(key, F(0)) + wx * sys.weights[y]
+        original = {pair: mu_s[pair] for pair in orbit}
+        if spread != original:
+            return False
+    return True
+
+
+def magic_extension_by_decomposition(sys):
+    """The construction by decomposition, the reference for `magic_extension`:
+    list supp mu_{S,T}, build the four-fold system under (S*, T*), decompose
+    it, and try components by decreasing mass.
+
+    The four-fold measure with the coordinate maps (S*, T*) = (id x S x id x S,
+    id x id x T x T) is an extension of the base via the last coordinate;
+    decomposing it into components of the (S*, T*) action and selecting a
+    component that is magic (and free, whenever the base has nontrivial S and
+    T) yields the required system.  Components are tried by decreasing mass,
+    ties broken by lexicographically smallest support.
+    """
+    if not is_ergodic(sys):
+        raise PreconditionError("magic_extension requires an ergodic base system")
+    hm = host_measure(sys)
+    quads = sorted(hm.mu_st.entries)
+    index = {q: k for k, q in enumerate(quads)}
+    weights = [hm.mu_st.entries[q] for q in quads]
+    s_perm = [index[tuple(sys.apply(g, x) for g, x in zip(S_STAR, q))] for q in quads]
+    t_perm = [index[tuple(sys.apply(g, x) for g, x in zip(T_STAR, q))] for q in quads]
+    big = FiniteMPS(weights, s_perm, t_perm)
+
+    identity = tuple(range(sys.n))
+    freeness_required = sys.S != identity and sys.T != identity
+
+    components = ergodic_decomposition(big)
+    order = sorted(range(len(components)), key=lambda k: (-components[k].mass, components[k].support))
+    summaries = [None] * len(components)
+    chosen = None
+    for k in order:
+        comp = components[k]
+        if chosen is not None:
+            summaries[k] = ComponentSummary(len(comp.support), comp.mass, None, None, False, "not evaluated")
+            continue
+        sub = comp.subsystem(big)
+        magic_report = is_magic(sub)
+        free_result = is_free_brute(sub)
+        ok = magic_report.is_magic and (free_result.free or not freeness_required)
+        if ok:
+            chosen = (k, sub)
+            summaries[k] = ComponentSummary(len(comp.support), comp.mass, magic_report.is_magic, free_result.free, True, None)
+        else:
+            reasons = []
+            if not magic_report.is_magic:
+                reasons.append("not magic")
+            if freeness_required and not free_result.free:
+                reasons.append(f"not free (witness {free_result.witness})")
+            summaries[k] = ComponentSummary(
+                len(comp.support), comp.mass, magic_report.is_magic, free_result.free, False, ", ".join(reasons)
+            )
+    if chosen is None:
+        lines = [
+            f"component size={s.size} mass={s.mass}: {s.rejection}"
+            for s in summaries
+            if s is not None
+        ]
+        raise ExtensionConstructionError(
+            "no component is simultaneously magic and free; a valid component "
+            "should always exist for an ergodic base -- details: " + "; ".join(lines)
+        )
+    k, sub = chosen
+    comp = components[k]
+    comp_quads = tuple(quads[x] for x in comp.support)
+    return MagicExtension(
+        base=sys,
+        system=sub,
+        quadruples=comp_quads,
+        factor=tuple(q[3] for q in comp_quads),
+        mass=comp.mass,
+        components=tuple(s for s in summaries if s is not None),
+    )
+
+
+def listed_pushforward(hm, m):
+    """mu_{S,T} of a product system listed quadruple by quadruple and pushed
+    to the factor pairs ((y0, y1), (w0, w2)), product point y m + w holding
+    (y, w): the reference for `product_cube_identification`'s measure check."""
+    pushed = {}
+    for quad, mass in hm.mu_st.entries.items():
+        (y0, w0), (y1, _), (_, w2), _ = (divmod(p, m) for p in quad)
+        key = ((y0, y1), (w0, w2))
+        pushed[key] = pushed.get(key, F(0)) + mass
+    return pushed
+
+
+def pair_tensor(first, second):
+    """The product of `first`'s pair measure along S and `second`'s along T."""
+    transposed = FiniteMPS(list(second.weights), list(second.T), list(second.S))
+    return {
+        (yp, wp): y_mass * w_mass
+        for yp, y_mass in rel_indep_square(first).entries.items()
+        for wp, w_mass in rel_indep_square(transposed).entries.items()
+    }
+
+
+MIXED_VALUES = (F(-2), F(-1, 3), F(0), F(1, 2), F(5, 7))
+
+
+def z4_observable():
+    return Observable((F(1), F(0), F(-1), F(0)))
+
+
+def random_observable(rng, n, lo=-2, hi=2):
+    return Observable(tuple(F(rng.randint(lo, hi)) for _ in range(n)))
+
+
+def sign_observable(rng, n):
+    return Observable(tuple(F(rng.choice((-1, 1))) for _ in range(n)))
+
+
+def mixed_observable(rng, n):
+    """Values with distinct denominators, so a wrong common denominator shows."""
+    return Observable(tuple(rng.choice(MIXED_VALUES) for _ in range(n)))
+
+
+def draws(k):
+    """k integer draws (the original cases, unchanged), then k mixed ones."""
+    return [random_observable] * k + [mixed_observable] * k
+
+
+def _alternating(rng, count, max_components):
+    systems = []
+    for _ in range(count):
+        systems.append(random_system(rng, max_order=3, max_components=max_components))
+        systems.append(random_ergodic_system(rng, max_order=3))
+    return systems
+
+
+def _extensions(systems):
+    return [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
+
+
+def _cyclic(limit):
+    """Z_n with S = +1 and T = +t, for every t < n < limit."""
+    return [translation_system(n, 1, (1, 0), (t, 0)) for n in range(1, limit) for t in range(n)]
+
+
+def _grids(limit):
+    return [grid(a, b) for grid in (product_grid, diagonal_grid) for a in range(1, limit) for b in range(1, limit)]
+
+
+def _disjoint_union(pieces):
+    """The pieces side by side, each point weighted 1/n."""
+    S, T = [], []
+    for piece in pieces:
+        S += [len(S) + y for y in piece.S]
+        T += [len(T) + y for y in piece.T]
+    return FiniteMPS([F(1, len(S))] * len(S), S, T)
+
+
+def _freeness(rng):
+    systems = [random_system(rng, max_order=4, max_components=3) for _ in range(400)]
+    systems += [random_ergodic_system(rng) for _ in range(150)]
+    systems += [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(15)]
+    systems += _cyclic(9)
+    systems += [grid(a, b) for a in range(1, 5) for b in range(1, 5) for grid in (product_grid, diagonal_grid)]
+    for _ in range(500):
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            s = (rng.randrange(a), rng.randrange(b))
+            t = (rng.randrange(a), rng.randrange(b))
+            pieces.append(translation_system(a, b, s, t))
+        systems.append(_disjoint_union(pieces))
+    return systems
+
+
+def _bases(rng, count):
+    systems = [random_ergodic_system(rng, max_order=3) for _ in range(count)]
+    return systems + _cyclic(7) + _grids(4) + [z4_diagonal(), FiniteMPS([F(1)], [0], [0])]
+
+
+def _cube_report(rng):
+    systems = [random_system(rng, max_order=4, max_components=3) for _ in range(12)]
+    candidates = [random_system(rng, max_order=3, max_components=3) for _ in range(60)]
+    systems += [s for s in candidates if not is_ergodic(s) and len(set(s.weights)) > 1][:8]
+    return systems + [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(4)]
+
+
+@cache
+def _pair_layer(seed, count):
+    rng = Random(seed)
+    systems = _alternating(rng, count, 3)
+    systems += _extensions(systems[:60])
+    systems += _grids(5) + _cyclic(13)
+    systems += [
+        translation_system(a, b, (1, 1), (i, j)) for a in (2, 3) for b in (2, 3) for i in range(a) for j in range(b)
+    ]
+    return tuple(systems)
+
+
+_FAMILIES = {
+    "cubes": lambda rng, count: _alternating(rng, count, 2),
+    "mixed": lambda rng, count: _alternating(rng, count, 3),
+    "freeness": _freeness,
+    "bases": _bases,
+    "cube-report": _cube_report,
+}
+
+
+def corpus(family, seed, *count, extended=False):
+    """The seeded systems of `family`, in draw order, as a tuple: "cubes" and
+    "mixed" draw `count` random systems (up to 2 or 3 components), each
+    followed by an ergodic one; "pair-layer" is "mixed" with extensions,
+    grids and translations, built once per seed and count; "freeness",
+    "bases" (`count` ergodic draws, then stock systems) and "cube-report"
+    are the inputs of the freeness, extension and `cube` report tests.
+    `seed` is an int, or a `Random` whose draws the caller goes on using;
+    `extended` appends the magic extension of each ergodic system."""
+    if family == "pair-layer":
+        return _pair_layer(seed, *count)
+    systems = _FAMILIES[family](seed if isinstance(seed, Random) else Random(seed), *count)
+    return tuple(systems + _extensions(systems) if extended else systems)

@@ -19,12 +19,9 @@ from ergocubes.averaging import (
     windowed_sn,
     windowed_sn_naive,
 )
-from ergocubes.core import Observable, integrate
+from ergocubes.core import Observable, SparseMeasure, integrate
 from ergocubes.cubes import cube_space, empirical_unique_ergodicity, product_cube_identification
-from ergocubes.core import SparseMeasure
 from ergocubes.finite import (
-    S_GEN,
-    T_GEN,
     diagonal_grid,
     is_ergodic,
     is_free,
@@ -37,6 +34,7 @@ from ergocubes.finite import (
 from ergocubes.joinings import host_measure, host_seminorm, is_magic, magic_extension
 from ergocubes.torus import TrigPoly, sqrt23_system, torus_report
 from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant
+from oracles import autocorrelation_fourth_power, cycle_patterns, literal_cycle_length, random_observable, sign_observable
 
 F = Fraction
 
@@ -44,10 +42,6 @@ F = Fraction
 def announce(num: int, ok: bool, detail: str) -> bool:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} {detail}")
     return ok
-
-
-def random_observable(rng, n, lo=-2, hi=2):
-    return Observable(tuple(F(rng.randint(lo, hi)) for _ in range(n)))
 
 
 def test_criterion_1_exact_seminorm_identities():
@@ -125,16 +119,10 @@ def test_criterion_3_worked_constants_two_routes():
 
     # independent route 1: autocorrelation identity on a single 4-cycle,
     # |||f|||^4 = (1/4) sum_d ((1/4) sum_x f(x) f(x+d))^2
-    auto = [sum(f.values[x] * f.values[(x + d) % 4] for x in range(4)) / F(4) for d in range(4)]
-    checks.append(sum((a * a for a in auto), F(0)) / 4 == F(1, 8))
+    checks.append(autocorrelation_fourth_power(f) == F(1, 8))
 
     # independent route 2: enumerate the support by hand and compare
-    expected_support = {
-        (x, (x + i) % 4, (x + j) % 4, (x + i + j) % 4)
-        for x in range(4)
-        for i in range(4)
-        for j in range(4)
-    }
+    expected_support = cycle_patterns(4)
     checks.append(set(hm.mu_st.entries) == expected_support and len(expected_support) == 64)
 
     # independent route 3: the literal quadruple loop at one full period
@@ -168,10 +156,7 @@ def test_criterion_4_window_bound_sweep():
     random_failures = 0
     for _ in range(200):
         sys = random_system(rng)
-        obs = [
-            Observable(tuple(F(rng.choice((-1, 1))) for _ in range(sys.n)))
-            for _ in range(3)
-        ]
+        obs = [sign_observable(rng, sys.n) for _ in range(3)]
         check = check_bound_average(sys, *obs, rng.randrange(sys.n), rng.randint(1, 16), c)
         if not check.holds:
             random_failures += 1
@@ -292,7 +277,7 @@ def test_criterion_7_cube_structure():
     ):
         space = cube_space(builder())
         perms = list(space.perms.values())
-        period = math.lcm(*(_cycle_length(p, 0) for p in perms))
+        period = math.lcm(*(literal_cycle_length(p, 0) for p in perms))
         uniform = space.uniform_measure()
         report = empirical_unique_ergodicity(perms, uniform, "all", [period, 2 * period])
         if any(row.value != 0 for row in report.rows):
@@ -310,14 +295,6 @@ def test_criterion_7_cube_structure():
         f"multiples on all finite builtins, positive on a wrong reference ({elapsed:.1f}s)",
     )
     assert not failures, failures[:3]
-
-
-def _cycle_length(perm, x):
-    length, cur = 1, perm[x]
-    while cur != x:
-        cur = perm[cur]
-        length += 1
-    return length
 
 
 def test_criterion_8_factored_equals_naive():

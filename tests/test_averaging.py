@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 import pytest
@@ -38,43 +37,18 @@ from ergocubes.finite import (
 )
 from ergocubes.joinings import host_measure, host_seminorm
 from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant
+from oracles import (
+    draws,
+    literal_birkhoff,
+    literal_box_hits,
+    literal_cycle_length,
+    mixed_observable,
+    random_observable,
+    sign_observable,
+    z4_observable,
+)
 
 F = Fraction
-
-
-def z4_observable():
-    return Observable((F(1), F(0), F(-1), F(0)))
-
-
-def random_observable(rng, n, lo=-2, hi=2):
-    return Observable(tuple(F(rng.randint(lo, hi)) for _ in range(n)))
-
-
-MIXED_VALUES = (F(-2), F(-1, 3), F(0), F(1, 2), F(5, 7))
-
-
-def mixed_observable(rng, n):
-    """Values with distinct denominators, so a wrong common denominator shows."""
-    return Observable(tuple(rng.choice(MIXED_VALUES) for _ in range(n)))
-
-
-def literal_birkhoff(sys, f, x, gens, N):
-    """The Birkhoff box sum walked one S, S^-1, T or T^-1 step at a time."""
-    inverse = {perm: [perm.index(y) for y in range(sys.n)] for perm in (sys.S, sys.T)}
-    total = F(0)
-    for ks in product(range(N), repeat=len(gens)):
-        y = x
-        for g, k in zip(gens, ks):
-            for perm, e in ((sys.S, g.i), (sys.T, g.j)):
-                for _ in range(k * abs(e)):
-                    y = perm[y] if e > 0 else inverse[perm][y]
-        total += f.values[y]
-    return total / N ** len(gens)
-
-
-def draws(k):
-    """k integer draws (the original cases, unchanged), then k mixed ones."""
-    return [random_observable] * k + [mixed_observable] * k
 
 
 class TestWindowCounts:
@@ -233,15 +207,7 @@ class TestBirkhoffAverage:
             f = draw(rng, sys.n)
             x = rng.randrange(sys.n)
             N = rng.randint(1, 6)
-            total = F(0)
-            p = x
-            for _ in range(N):
-                q = p
-                for _ in range(N):
-                    total += f.values[q]
-                    q = sys.T[q]
-                p = sys.S[p]
-            assert birkhoff_average(sys, f, x, [S_GEN, T_GEN], N) == total / N**2
+            assert birkhoff_average(sys, f, x, [S_GEN, T_GEN], N) == literal_birkhoff(sys, f, x, [S_GEN, T_GEN], N)
 
     def test_matches_a_literal_walk_on_non_free_systems(self):
         rng = Random(359)
@@ -263,18 +229,6 @@ class TestBirkhoffAverage:
     def test_requires_generators(self):
         with pytest.raises(ValueError, match="at least one generator"):
             birkhoff_average(z4_diagonal(), z4_observable(), 0, [], 2)
-
-
-def literal_box_hits(step, start, d, N):
-    """Every exponent tuple of [0, N)^d walked one step at a time."""
-    hits = {}
-    for exponents in product(range(N), repeat=d):
-        p = start
-        for t, e in enumerate(exponents):
-            for _ in range(e):
-                p = step(t, p)
-        hits[p] = hits.get(p, 0) + 1
-    return hits
 
 
 class TestBoxHits:
@@ -305,12 +259,7 @@ class TestBoxHits:
                 gens = [GroupElement(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d - 1)] + [GroupElement(0, 0)]
                 perms = [sys.group_perm(g) for g in gens]
                 x = rng.randrange(sys.n)
-                periods = []
-                for perm in perms:
-                    y, length = perm[x], 1
-                    while y != x:
-                        y, length = perm[y], length + 1
-                    periods.append(length)
+                periods = [literal_cycle_length(perm, x) for perm in perms]
                 assert periods[-1] == 1
                 for N in range(1, 8 if d < 4 else 6):
                     step = lambda t, p: perms[t][p]  # noqa: E731
@@ -518,10 +467,7 @@ class TestExhaustiveSweep:
         rng = Random(373)
         worst = F(0)
         for _ in range(200):
-            obs = [
-                Observable(tuple(F(rng.choice((-1, 1))) for _ in range(sys.n)))
-                for _ in range(3)
-            ]
+            obs = [sign_observable(rng, sys.n) for _ in range(3)]
             N = rng.randint(1, 4)
             check = check_bound_average(sys, *obs, 0, N)
             assert check.holds

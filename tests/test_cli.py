@@ -4,7 +4,6 @@ import json
 import sys
 import tracemalloc
 from fractions import Fraction
-from random import Random
 
 import pytest
 
@@ -15,15 +14,13 @@ from ergocubes.finite import (
     S_GEN,
     T_GEN,
     FiniteMPS,
-    is_ergodic,
     product_grid,
-    random_ergodic_system,
-    random_system,
     system_to_dict,
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import MagicReport, host_measure, magic_extension
+from ergocubes.joinings import MagicReport, host_measure
+from oracles import corpus
 
 
 def run(capsys, *argv):
@@ -551,13 +548,9 @@ class TestCube:
     def test_pair_space_sizes_match_the_listed_pair_spaces(self, capsys, tmp_path):
         # every count line against the listed route: the cube space and its
         # orbits, supp mu_{S,T} as a set, and the two pair spaces
-        rng = Random(17)
-        corpus = [random_system(rng, max_order=4, max_components=3) for _ in range(12)]
-        draws = (random_system(rng, max_order=3, max_components=3) for _ in range(60))
-        corpus += [s for s in draws if not is_ergodic(s) and len(set(s.weights)) > 1][:8]
-        corpus += [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(4)]
+        systems = corpus("cube-report", 17)
         transitive = 0
-        for k, system in enumerate(corpus):
+        for k, system in enumerate(systems):
             space = cube_space(system)
             orbits = len(space.orbits())
             support = host_measure(system).quadruple_support() == set(space.points)
@@ -572,7 +565,7 @@ class TestCube:
             )
             code, out, err = run(capsys, "cube", "--system", write_system(tmp_path / f"{k}.json", system))
             assert (code, out, err) == (0 if support else 2, expected, "")
-        assert len(corpus) == 24 and 4 <= transitive <= 20
+        assert len(systems) == 24 and 4 <= transitive <= 20
 
     def test_report_memory_follows_the_pair_support(self, capsys, tmp_path):
         # product_grid(40, 40): 64,000 pairs in supp mu_S but 2,560,000

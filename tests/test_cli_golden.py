@@ -12,7 +12,9 @@ were recorded from the code that still listed the whole cube space for every
 `torus-sqrt23` runs at `pow2:30..60` with start 5/7 were recorded from the
 code that still reduced every torus phase as a `Fraction`; they pin the float
 bits where N times a 128-bit rotation amount must be reduced exactly.  The
-recording is the spec: it is never re-recorded to agree with a change.
+`cube --identify-with` runs were recorded from the code that still pushed the
+listed quadruple measure forward to the factor pairs.  The recording is the
+spec: it is never re-recorded to agree with a change.
 """
 
 import json
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from ergocubes.cli import main
+from ergocubes.finite import system_to_dict, translation_system
 
 MIXED = "--observable=1,-1/3,0,-1/2,5/7,-2"
 TRIG = "--trig=0:0.5:0;1:0.25:-0.5;2:-0.75:0.25"
@@ -46,7 +49,16 @@ GOLDEN_ARGVS += [
     ["cube", "--builtin", "z4-diagonal"],
     ["cube", "--builtin", "grid-2x3"],
     ["cube", "--builtin", "product-2x3", "--schedule", "1,4,8"],
+    ["cube", "--system", "z5-s2.json", "--identify-with", "z3-t1.json"],
+    ["cube", "--system", "z4-s1.json", "--identify-with", "z6-t5.json"],
 ]
+# The factor files the `--identify-with` runs read, written to the working directory.
+FACTORS = {
+    "z5-s2.json": translation_system(5, 1, (2, 0), (0, 0)),
+    "z3-t1.json": translation_system(3, 1, (0, 0), (1, 0)),
+    "z4-s1.json": translation_system(4, 1, (1, 0), (0, 0)),
+    "z6-t5.json": translation_system(6, 1, (0, 0), (5, 0)),
+}
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_reports.json")).read_text())
 
@@ -56,7 +68,10 @@ def test_every_recorded_run_is_listed():
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=[" ".join(argv[1:]) for argv in GOLDEN_ARGVS])
-def test_stdout_matches_the_recording(capsys, argv):
+def test_stdout_matches_the_recording(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, system in FACTORS.items():
+        (tmp_path / name).write_text(json.dumps(system_to_dict(system)))
     assert main(list(argv)) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

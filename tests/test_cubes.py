@@ -1,12 +1,12 @@
 """Orbit-tuple spaces, the product identification, and empirical equidistribution."""
 
-from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 import pytest
 
+from ergocubes import cubes
 from ergocubes.core import DimensionError, PreconditionError, SparseMeasure
 from ergocubes.cubes import (
     cube_space,
@@ -20,15 +20,15 @@ from ergocubes.finite import (
     S_GEN,
     T_GEN,
     diagonal_grid,
-    is_ergodic,
     orbit_partition,
     product_grid,
-    random_ergodic_system,
+    product_system,
     random_system,
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import host_measure, magic_extension, rel_indep_square, rule_permutation
+from ergocubes.joinings import host_measure, rel_indep_square, rule_permutation
+from oracles import corpus, cycle_patterns, listed_pushforward, literal_box_hits, pair_tensor
 
 F = Fraction
 ID = GroupElement(0, 0)
@@ -50,28 +50,12 @@ def uniform(n):
     return [F(1, n)] * n
 
 
-def seeded_systems(seed, count):
-    """`count` draws each of random_system and random_ergodic_system."""
-    rng = Random(seed)
-    systems = []
-    for _ in range(count):
-        systems.append(random_system(rng, max_order=3, max_components=2))
-        systems.append(random_ergodic_system(rng, max_order=3))
-    return systems
-
-
 class TestCubeSpace:
     def test_z4_cube_is_all_cycle_patterns(self):
         space = cube_space(z4_diagonal())
         assert space.size == 64
         assert all(len(point) == 4 for point in space.points)
-        expected = {
-            ((x) % 4, (x + i) % 4, (x + j) % 4, (x + i + j) % 4)
-            for x in range(4)
-            for i in range(4)
-            for j in range(4)
-        }
-        assert set(space.points) == expected
+        assert set(space.points) == cycle_patterns(4)
         assert len(space.orbits()) == 1
 
     def test_diagonal_grid_cube(self):
@@ -88,8 +72,7 @@ class TestCubeSpace:
 
     def test_size_counts_the_listed_space(self):
         # `analyze` prints the quadruple support size sum |C|^2 as the cube space size
-        systems = seeded_systems(233, 15)
-        systems += [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
+        systems = corpus("cubes", 233, 15, extended=True)
         assert len(systems) >= 30
         for sys in systems:
             assert sum(len(orbit) ** 2 for orbit in host_measure(sys).orbits) == cube_space(sys).size
@@ -101,7 +84,7 @@ class TestCubeSpace:
         assert cube_space(sys).size == 108
 
     def test_orbit_built_support_matches_the_listed_quadruples(self):
-        for sys in seeded_systems(239, 5):
+        for sys in corpus("cubes", 239, 5):
             hm = host_measure(sys)
             support = hm.quadruple_support()
             assert support == set(cube_space(sys).points)
@@ -196,7 +179,7 @@ class TestTransformPermutations:
         # S^2 T^-1 on 30 seeded systems, 120 spaces, each listed without
         # repeats and indexed in order
         spaces = 0
-        for sys in seeded_systems(241, 15):
+        for sys in corpus("cubes", 241, 15):
             pair_spaces = [(two_sided_cube(sys, g), pair_rules(g)) for g in (S_GEN, T_GEN, GroupElement(2, -1))]
             for space, rules in ((cube_space(sys), CUBE_RULES), *pair_spaces):
                 assert space.index_of == {point: k for k, point in enumerate(space.points)}
@@ -243,6 +226,29 @@ class TestProductIdentification:
         second = FiniteMPS([F(1)], [0], [0])
         report = product_cube_identification(first, second)
         assert report.identified
+
+    def test_measure_check_matches_the_listed_pushforward(self, monkeypatch):
+        # the verdict against mu_{S,T} listed quadruple by quadruple and pushed
+        # to the factor pairs, on the true measure and on a skewed probability:
+        # half the mass of the third orbit moved onto the second, of equal mass
+        factors = [
+            (translation_system(5, 1, (2, 0), (0, 0)), translation_system(3, 1, (0, 0), (1, 0))),
+            (translation_system(4, 1, (1, 0), (0, 0)), translation_system(6, 1, (0, 0), (5, 0))),
+            (translation_system(2, 1, (1, 0), (0, 0)), FiniteMPS([F(1)], [0], [0])),
+        ]
+        for first, second in factors:
+            hm = host_measure(product_system(first, second))
+            assert listed_pushforward(hm, second.n) == pair_tensor(first, second)
+            assert product_cube_identification(first, second).measure_matches
+            inverse = hm.inverse
+            assert inverse[1] == inverse[2] and len(hm.orbits[1]) == len(hm.orbits[2])
+            moved = (2 * inverse[0], 3 * inverse[1], inverse[2], *(2 * k for k in inverse[3:]))
+            skewed = replace(hm, lcm=2 * hm.lcm, inverse=moved)
+            assert listed_pushforward(skewed, second.n) != pair_tensor(first, second)
+            with monkeypatch.context() as patch:
+                patch.setattr(cubes, "host_measure", lambda sys: skewed)
+                report = product_cube_identification(first, second)
+            assert report.bijective and report.intertwines and not report.measure_matches
 
     def test_rejects_first_factor_with_moving_t(self):
         with pytest.raises(PreconditionError, match="first factor must have T = identity"):
@@ -309,14 +315,7 @@ class TestEmpiricalUniqueErgodicity:
             for ref in (uniform, skewed):
                 report = empirical_unique_ergodicity(perms, ref, [start], schedule)
                 for row in report.rows:
-                    hits = {}
-                    for i, j in product(range(row.N), repeat=2):
-                        p = start
-                        for _ in range(i):
-                            p = perms[0][p]
-                        for _ in range(j):
-                            p = perms[1][p]
-                        hits[p] = hits.get(p, 0) + 1
+                    hits = literal_box_hits(lambda t, p: perms[t][p], start, 2, row.N)
                     tv = sum(
                         (abs(F(hits.get(x, 0), row.N**2) - ref.weight((x,))) for x in range(sys.n)),
                         F(0),
@@ -328,10 +327,12 @@ class TestEmpiricalUniqueErgodicity:
         # invariant (uniform, or constant on each orbit) and every start when
         # it is not (skewed); the literal walk visits every start every time.
         transitive = 0
-        for sys in seeded_systems(239, 5):
+        for sys in corpus("cubes", 239, 5):
             space = cube_space(sys)
             perms = list(space.perms.values())
             m, d = space.size, len(perms)
+            # the hits of g_d^{i_d} ... g_1^{i_1} x for every exponent tuple
+            boxes = {(x, N): literal_box_hits(lambda t, p: perms[t][p], x, d, N) for x in range(m) for N in (1, 2, 3, 4)}
             orbit_of = orbit_partition(perms, m).block_of
             transitive += max(orbit_of) == 0
             # reference masses w[p] / sum(w)
@@ -351,19 +352,10 @@ class TestEmpiricalUniqueErgodicity:
                 for row in report.rows:
                     worst = F(0)
                     for x in range(m):
-                        # g_d^{i_d} ... g_1^{i_1} x for every exponent tuple, stepped out one by one
-                        box = [x]
-                        for perm in perms:
-                            stepped = []
-                            for p in box:
-                                for _ in range(row.N):
-                                    stepped.append(p)
-                                    p = perm[p]
-                            box = stepped
-                        hits = Counter(box)
-                        assert len(box) == row.N**d
+                        hits = boxes[x, row.N]
                         volume = row.N**d
-                        tv = F(sum(abs(hits[y] * sum(w) - w[y] * volume) for y in range(m)), 2 * volume * sum(w))
+                        assert sum(hits.values()) == volume
+                        tv = F(sum(abs(hits.get(y, 0) * sum(w) - w[y] * volume) for y in range(m)), 2 * volume * sum(w))
                         worst = max(worst, tv)
                     assert row.value == worst, (sys, name, row.N)
         assert 0 < transitive < 10

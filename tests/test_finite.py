@@ -1,6 +1,5 @@
 """Finite systems: validation, group action, transitivity, freeness, serialization."""
 
-import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -34,16 +33,9 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import magic_extension
+from oracles import corpus, is_free_brute, literal_apply, literal_cycle_length
 
 QUARTER = Fraction(1, 4)
-
-
-def literal_cycle_length(perm, x):
-    length, y = 1, perm[x]
-    while y != x:
-        length, y = length + 1, perm[y]
-    return length
 
 
 class TestConstruction:
@@ -101,18 +93,12 @@ class TestAction:
                 sign_i, sign_j = rng.choice((1, -1)), rng.choice((1, -1))
                 g = GroupElement(sign_i * (10**12 + trial), sign_j * (10**12 + 3 * trial))
             x = rng.randrange(sys.n)
-            s_inv = {sys.S[p]: p for p in range(sys.n)}
-            t_inv = {sys.T[p]: p for p in range(sys.n)}
             i, j = g.i, g.j
             if trial >= 40:
                 # far past the orders: step the exponents reduced modulo
                 # the literally walked cycle lengths at x
                 i, j = i % literal_cycle_length(sys.S, x), j % literal_cycle_length(sys.T, x)
-            expected = x
-            for _ in range(abs(i)):
-                expected = sys.S[expected] if i > 0 else s_inv[expected]
-            for _ in range(abs(j)):
-                expected = sys.T[expected] if j > 0 else t_inv[expected]
+            expected = literal_apply(sys, i, j, x)
             assert sys.apply(g, x) == expected
             assert sys.group_perm(g)[x] == expected
 
@@ -219,42 +205,6 @@ class TestErgodicity:
         assert [c.support for c in comps] == [(0, 1), (2, 3)]
 
 
-def _is_free_brute(sys: FiniteMPS) -> FreenessResult:
-    """Reference: tabulate T's powers and walk S's, over the whole window
-    0 <= i < ord(S), 0 <= j < ord(T); returns the least i >= 1, then the
-    least j >= 0, with S^i T^j = id."""
-    if sys.order_s() == 1:
-        return FreenessResult(False, (1, 0))
-    if sys.order_t() == 1:
-        return FreenessResult(False, (0, 1))
-    identity = tuple(range(sys.n))
-    # S^i T^j = id  iff  T^j = S^{-i}; index the T-powers once.
-    t_powers = {}
-    perm = identity
-    for j in range(sys.order_t()):
-        t_powers.setdefault(perm, j)
-        perm = tuple(sys.T[x] for x in perm)
-    perm = identity
-    s_inv = [0] * sys.n
-    for x in range(sys.n):
-        s_inv[sys.S[x]] = x
-    for i in range(sys.order_s()):
-        j = t_powers.get(perm)
-        if j is not None and (i, j) != (0, 0):
-            return FreenessResult(False, (i, j))
-        perm = tuple(s_inv[x] for x in perm)  # now perm = S^{-(i+1)}
-    return FreenessResult(True, None)
-
-
-def _disjoint_union(pieces):
-    """The pieces side by side, each point weighted 1/n."""
-    S, T = [], []
-    for piece in pieces:
-        S += [len(S) + y for y in piece.S]
-        T += [len(T) + y for y in piece.T]
-    return FiniteMPS([Fraction(1, len(S))] * len(S), S, T)
-
-
 def _cycles_system(lengths):
     """S = T, one cycle of each length."""
     perm = []
@@ -263,38 +213,13 @@ def _cycles_system(lengths):
     return FiniteMPS([Fraction(1, len(perm))] * len(perm), perm, perm)
 
 
-def _freeness_oracle_systems():
-    rng = Random(61)
-    for _ in range(400):
-        yield random_system(rng, max_order=4, max_components=3)
-    for _ in range(150):
-        yield random_ergodic_system(rng)
-    for _ in range(15):
-        yield magic_extension(random_ergodic_system(rng, max_order=3)).system
-    for n in range(1, 9):
-        for t in range(n):
-            yield translation_system(n, 1, (1, 0), (t, 0))
-    for a in range(1, 5):
-        for b in range(1, 5):
-            yield product_grid(a, b)
-            yield diagonal_grid(a, b)
-    for _ in range(500):
-        pieces = []
-        for _ in range(rng.randint(1, 4)):
-            a, b = rng.randint(1, 6), rng.randint(1, 6)
-            s = (rng.randrange(a), rng.randrange(b))
-            t = (rng.randrange(a), rng.randrange(b))
-            pieces.append(translation_system(a, b, s, t))
-        yield _disjoint_union(pieces)
-
-
 class TestFreeness:
     def test_equals_brute_force_reference(self):
-        systems = list(_freeness_oracle_systems())
+        systems = corpus("freeness", 61)
         assert len(systems) >= 1000
         not_free = 0
         for sys in systems:
-            expected = _is_free_brute(sys)
+            expected = is_free_brute(sys)
             assert is_free(sys) == expected, (sys.S, sys.T)
             not_free += not expected.free
         # both verdicts are well represented

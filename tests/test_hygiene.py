@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no private names imported across modules,
-and every name the benchmark harness reads from ergocubes still exists."""
+every name the benchmark harness reads from ergocubes still exists, and the
+test references in `tests/oracles.py` stay independent of what they check."""
 
 import ast
 import importlib
@@ -10,6 +11,37 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ergocubes").glob("*.py"))
 HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
+
+# What `tests/oracles.py` may import from ergocubes: constructors and data
+# types, the stock and seeded generators, and the layers the old routes and
+# the corpora are built from.
+ORACLE_IMPORTS = {
+    "FiniteMPS", "FreenessResult", "GroupElement", "Observable", "PreconditionError", "S_GEN", "T_GEN",
+    "ComponentSummary", "ExtensionConstructionError", "MagicExtension", "S_STAR", "T_STAR",
+    "diagonal_grid", "product_grid", "product_system", "translation_system", "z4_diagonal",
+    "random_ergodic_system", "random_product_system", "random_system",
+    "ergodic_decomposition", "host_measure", "invariant_w", "is_ergodic", "is_magic", "magic_extension",
+    "rel_indep_square",
+}
+
+# Each reference in `tests/oracles.py`, and the program names it checks: the
+# reference may not reach them.
+REFERENCES = {
+    "literal_cycle": ("perm_cycle", "orbit_grid", "partition_s", "partition_t"),
+    "literal_cycle_length": ("perm_cycle", "orbit_grid", "order_s", "order_t"),
+    "literal_apply": ("apply", "group_perm", "orbit_grid"),
+    "literal_birkhoff": ("birkhoff_average", "box_hits", "apply", "group_perm", "orbit_grid"),
+    "literal_box_hits": ("box_hits",),
+    "cycle_patterns": ("cube_space", "cube_over", "host_measure"),
+    "autocorrelation_fourth_power": ("host_seminorm", "host_integral", "host_measure"),
+    "is_free_brute": ("is_free",),
+    "closure_orbits": ("host_measure",),
+    "measurable_by_spread": ("measurability_check",),
+    "magic_extension_by_decomposition": ("magic_extension", "cube_over", "is_free"),
+    "listed_pushforward": ("product_cube_identification",),
+}
 
 
 def _annotation_names(tree: ast.AST):
@@ -44,7 +76,7 @@ def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "finite.py", "joinings.py", "averaging.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in SOURCES + TESTS if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_annotation_names(tree))
@@ -155,4 +187,83 @@ def test_the_harness_scan_sees_missing_names():
         "line 7: FUNCTIONS entry 'finite', 'no_attr'",
         "line 9: FUNCTIONS entry finite.FiniteMPS, 'no_method'",
         "line 10: FUNCTIONS entry 'gone', 'anything'",
+    ]
+
+
+def _oracle_problems(source: str, references: dict):
+    """What breaks the independence of a reference module: an import from
+    ergocubes of a name outside ORACLE_IMPORTS, and a reference that reaches
+    a program name it checks, as a Name or an Attribute in its own body or
+    in a top-level definition of the module that it reaches.  Found with
+    `ast`, without running the module."""
+    tree = ast.parse(source)
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            problems += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name.split(".")[0] == "ergocubes"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ergocubes":
+            problems += [f"line {node.lineno}: {node.module}.{a.name}" for a in node.names if a.name not in ORACLE_IMPORTS]
+    uses = {}  # top-level name -> the names its definition mentions
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        mentioned = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        mentioned |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        for name in names:
+            uses[name] = uses.get(name, set()) | (mentioned - {name})
+    for reference, checked in references.items():
+        if reference not in uses:
+            problems.append(f"{reference} is not defined")
+            continue
+        reached, frontier = set(), [reference]
+        while frontier:
+            for name in uses.get(frontier.pop(), ()):
+                if name not in reached:
+                    reached.add(name)
+                    frontier.append(name)
+        problems += [f"{reference} reaches {name}" for name in checked if name in reached]
+    return problems
+
+
+def test_the_references_stay_independent():
+    problems = _oracle_problems(ORACLES.read_text(), REFERENCES)
+    assert not problems, "tests/oracles.py: " + ", ".join(problems)
+
+
+def test_the_independence_scan_sees_a_forbidden_import_and_a_reached_name():
+    source = (
+        "import ergocubes.averaging\n"
+        "from ergocubes.finite import FiniteMPS, is_free\n"
+        "from ergocubes import joinings\n"
+        "def is_free_brute(sys):\n"
+        "    return is_free(sys)\n"
+        "def _grid(sys):\n"
+        "    return sys.orbit_grid(0)\n"
+        "WALK = _grid\n"
+        "def literal_cycle_length(perm, x):\n"
+        "    return WALK(perm)\n"
+        "def closure_orbits(sys):\n"
+        "    return joinings.host_measure(sys)\n"
+        "def literal_box_hits(step, start, d, N):\n"
+        "    return FiniteMPS\n"
+    )
+    references = {
+        "is_free_brute": ("is_free",),
+        "literal_cycle_length": ("orbit_grid",),
+        "closure_orbits": ("host_measure",),
+        "literal_box_hits": ("box_hits",),
+        "measurable_by_spread": ("measurability_check",),
+    }
+    assert _oracle_problems(source, references) == [
+        "line 1: import ergocubes.averaging",
+        "line 2: ergocubes.finite.is_free",
+        "line 3: ergocubes.joinings",
+        "is_free_brute reaches is_free",
+        "literal_cycle_length reaches orbit_grid",
+        "closure_orbits reaches host_measure",
+        "measurable_by_spread is not defined",
     ]

@@ -7,12 +7,10 @@ definition of the quadruple measure on a single cycle (see
 test_z4_seminorm_matches_autocorrelation_route).
 """
 
-import functools
 import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -22,7 +20,6 @@ from ergocubes.core import Observable, PreconditionError, integrate, marginal
 from ergocubes.finite import (
     FiniteMPS,
     diagonal_grid,
-    ergodic_decomposition,
     is_ergodic,
     is_free,
     partition_s,
@@ -34,13 +31,8 @@ from ergocubes.finite import (
     z4_diagonal,
 )
 from ergocubes.joinings import (
-    S_STAR,
-    T_STAR,
-    ComponentSummary,
     ExtensionConstructionError,
-    MagicExtension,
     MagicReport,
-    Quad,
     cond_exp,
     host_integral,
     host_measure,
@@ -52,147 +44,20 @@ from ergocubes.joinings import (
     rel_indep_square,
     seminorm_kernel_basis,
 )
+import oracles
+from oracles import (
+    autocorrelation_fourth_power,
+    closure_orbits,
+    corpus,
+    cycle_patterns,
+    magic_extension_by_decomposition,
+    measurable_by_spread,
+    mixed_observable,
+    random_observable,
+    z4_observable,
+)
 
 F = Fraction
-
-
-# The construction by decomposition, kept as the reference for
-# `magic_extension`: list supp mu_{S,T}, build the four-fold system under
-# (S*, T*), decompose it, and try components by decreasing mass.
-def _magic_extension_by_decomposition(sys: FiniteMPS) -> MagicExtension:
-    """Build a magic, ergodic extension of an ergodic system.
-
-    The four-fold measure with the coordinate maps (S*, T*) = (id x S x id x S,
-    id x id x T x T) is an extension of the base via the last coordinate;
-    decomposing it into components of the (S*, T*) action and selecting a
-    component that is magic (and free, whenever the base has nontrivial S and
-    T) yields the required system.  Components are tried by decreasing mass,
-    ties broken by lexicographically smallest support.
-    """
-    if not is_ergodic(sys):
-        raise PreconditionError("magic_extension requires an ergodic base system")
-    hm = host_measure(sys)
-    quads: List[Quad] = sorted(hm.mu_st.entries)
-    index = {q: k for k, q in enumerate(quads)}
-    weights = [hm.mu_st.entries[q] for q in quads]
-    s_perm = [index[tuple(sys.apply(g, x) for g, x in zip(S_STAR, q))] for q in quads]
-    t_perm = [index[tuple(sys.apply(g, x) for g, x in zip(T_STAR, q))] for q in quads]
-    big = FiniteMPS(weights, s_perm, t_perm)
-
-    identity = tuple(range(sys.n))
-    freeness_required = sys.S != identity and sys.T != identity
-
-    components = ergodic_decomposition(big)
-    order = sorted(range(len(components)), key=lambda k: (-components[k].mass, components[k].support))
-    summaries: List[Optional[ComponentSummary]] = [None] * len(components)
-    chosen: Optional[Tuple[int, FiniteMPS]] = None
-    for k in order:
-        comp = components[k]
-        if chosen is not None:
-            summaries[k] = ComponentSummary(len(comp.support), comp.mass, None, None, False, "not evaluated")
-            continue
-        sub = comp.subsystem(big)
-        magic_report = is_magic(sub)
-        free_result = is_free(sub)
-        ok = magic_report.is_magic and (free_result.free or not freeness_required)
-        if ok:
-            chosen = (k, sub)
-            summaries[k] = ComponentSummary(len(comp.support), comp.mass, magic_report.is_magic, free_result.free, True, None)
-        else:
-            reasons = []
-            if not magic_report.is_magic:
-                reasons.append("not magic")
-            if freeness_required and not free_result.free:
-                reasons.append(f"not free (witness {free_result.witness})")
-            summaries[k] = ComponentSummary(
-                len(comp.support), comp.mass, magic_report.is_magic, free_result.free, False, ", ".join(reasons)
-            )
-    if chosen is None:
-        lines = [
-            f"component size={s.size} mass={s.mass}: {s.rejection}"
-            for s in summaries
-            if s is not None
-        ]
-        raise ExtensionConstructionError(
-            "no component is simultaneously magic and free; a valid component "
-            "should always exist for an ergodic base -- details: " + "; ".join(lines)
-        )
-    k, sub = chosen
-    comp = components[k]
-    comp_quads = tuple(quads[x] for x in comp.support)
-    return MagicExtension(
-        base=sys,
-        system=sub,
-        quadruples=comp_quads,
-        factor=tuple(q[3] for q in comp_quads),
-        mass=comp.mass,
-        components=tuple(s for s in summaries if s is not None),
-    )
-
-
-
-# The (T x T)-orbits of supp mu_S by literal closure, and the measurability
-# check by spreading each orbit's Fraction masses over W-block products: the
-# references for `host_measure`'s parametrized orbits and for the counting
-# `measurability_check`.
-def _closure_orbits(sys: FiniteMPS) -> set:
-    seen, orbits = set(), set()
-    for pair in sorted(rel_indep_square(sys).entries):
-        orbit = []
-        cur = pair
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = (sys.T[cur[0]], sys.T[cur[1]])
-        if orbit:
-            orbits.add(frozenset(orbit))
-    return orbits
-
-
-def _measurable_by_spread(sys: FiniteMPS) -> bool:
-    hm = host_measure(sys)
-    w_part = invariant_w(sys)
-    w_blocks = w_part.blocks()
-    w_mass = [sum((sys.weights[x] for x in block), Fraction(0)) for block in w_blocks]
-    mu_s = rel_indep_square(sys).entries
-    for orbit in hm.orbits:
-        spread: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b) in orbit:
-            w_ab = mu_s[(a, b)]
-            ba, bb = w_part.block_of[a], w_part.block_of[b]
-            scale = w_ab / (w_mass[ba] * w_mass[bb])
-            for x in w_blocks[ba]:
-                wx = sys.weights[x] * scale
-                for y in w_blocks[bb]:
-                    key = (x, y)
-                    spread[key] = spread.get(key, Fraction(0)) + wx * sys.weights[y]
-        original = {pair: mu_s[pair] for pair in orbit}
-        if spread != original:
-            return False
-    return True
-
-
-@functools.cache
-def _pair_layer_systems() -> Tuple[FiniteMPS, ...]:
-    """Random systems with up to 3 components and ergodic ones, magic
-    extensions of 30-odd ergodic bases, product and diagonal grids up to 4x4,
-    cyclic translations Z_n with T = +t and translations of Z_a x Z_b."""
-    rng = Random(20261018)
-    systems = []
-    for _ in range(230):
-        systems.append(random_system(rng, max_order=3, max_components=3))
-        systems.append(random_ergodic_system(rng, max_order=3))
-    systems += [magic_extension(sys).system for sys in systems[:60] if is_ergodic(sys)]
-    systems += [grid(a, b) for grid in (product_grid, diagonal_grid) for a in range(1, 5) for b in range(1, 5)]
-    systems += [translation_system(n, 1, (1, 0), (t, 0)) for n in range(1, 13) for t in range(n)]
-    systems += [
-        translation_system(a, b, (1, 1), (i, j)) for a in (2, 3) for b in (2, 3) for i in range(a) for j in range(b)
-    ]
-    return tuple(systems)
-
-
-def z4_observable():
-    return Observable((F(1), F(0), F(-1), F(0)))
 
 
 class TestPairMeasure:
@@ -230,13 +95,7 @@ class TestQuadrupleMeasure:
         assert len(hm.mu_st.entries) == 64
         assert set(hm.mu_st.entries.values()) == {F(1, 64)}
         # the support is exactly the cycle patterns (x, x+i, x+j, x+i+j)
-        expected = {
-            (x, (x + i) % 4, (x + j) % 4, (x + i + j) % 4)
-            for x in range(4)
-            for i in range(4)
-            for j in range(4)
-        }
-        assert set(hm.mu_st.entries) == expected
+        assert set(hm.mu_st.entries) == cycle_patterns(4)
 
     def test_quadruple_marginals_seeded(self):
         rng = Random(107)
@@ -271,16 +130,10 @@ class TestQuadrupleMeasure:
         # the factored integral against the literal sum over every quadruple,
         # with signed observables whose denominators differ
         rng = Random(157)
-        values = (F(-2), F(-1, 3), F(0), F(1, 2), F(5, 7))
-        systems = []
-        for _ in range(15):
-            systems.append(random_system(rng, max_order=3, max_components=3))
-            systems.append(random_ergodic_system(rng, max_order=3))
-        systems += [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
         cases = []
-        for sys in systems:
+        for sys in corpus("mixed", rng, 15, extended=True):
             hm = host_measure(sys)
-            fs = [Observable(tuple(rng.choice(values) for _ in range(sys.n))) for _ in range(4)]
+            fs = [mixed_observable(rng, sys.n) for _ in range(4)]
             assert host_integral(hm, fs) == integrate(hm.mu_st, fs)
             cases.append((sys, hm, fs))
         assert len(cases) >= 30
@@ -310,29 +163,18 @@ class TestSeminorm:
         assert abs(value.fourth_root - 0.125**0.25) < 1e-12
 
     def test_z4_seminorm_matches_autocorrelation_route(self):
-        # On the m-cycle with S = T = +1 the quadruple measure is uniform on
-        # the patterns (x, x+i, x+j, x+i+j), so
-        #   |||f|||^4 = (1/m^3) sum_{x,i,j} f(x) f(x+i) f(x+j) f(x+i+j)
-        #             = (1/m)  sum_i (sum_x f(x) f(x+i) / m)^2
-        # which is a pure autocorrelation identity, independent of the
-        # package's joining machinery.
-        for m, values in ((4, (1, 0, -1, 0)), (4, (2, 1, 0, -1)), (5, (1, 1, -1, 0, 2))):
+        for values in ((1, 0, -1, 0), (2, 1, 0, -1), (1, 1, -1, 0, 2)):
             f = Observable(tuple(F(v) for v in values))
-            auto = [
-                sum(f.values[x] * f.values[(x + d) % m] for x in range(m)) / F(m)
-                for d in range(m)
-            ]
-            expected = sum((a * a for a in auto), F(0)) / m
-            sys = translation_system(m, 1, (1, 0), (1, 0))
-            assert host_seminorm(host_measure(sys), f).fourth_power == expected
+            sys = translation_system(f.n, 1, (1, 0), (1, 0))
+            assert host_seminorm(host_measure(sys), f).fourth_power == autocorrelation_fourth_power(f)
 
     def test_seminorm_properties_seeded(self):
         rng = Random(113)
         for _ in range(40):
             sys = random_system(rng)
             hm = host_measure(sys)
-            f = Observable(tuple(F(rng.randint(-2, 2)) for _ in range(sys.n)))
-            g = Observable(tuple(F(rng.randint(-2, 2)) for _ in range(sys.n)))
+            f = random_observable(rng, sys.n)
+            g = random_observable(rng, sys.n)
             nf = host_seminorm(hm, f).fourth_power
             ng = host_seminorm(hm, g).fourth_power
             assert nf >= 0
@@ -347,7 +189,7 @@ class TestSeminorm:
         for _ in range(25):
             sys = random_system(rng)
             hm = host_measure(sys)
-            f = Observable(tuple(F(rng.randint(-2, 2)) for _ in range(sys.n)))
+            f = random_observable(rng, sys.n)
             norm = host_seminorm(hm, f).fourth_power
             f_s = Observable(tuple(f.values[sys.S[x]] for x in range(sys.n)))
             f_t = Observable(tuple(f.values[sys.T[x]] for x in range(sys.n)))
@@ -377,7 +219,7 @@ class TestConditionalExpectation:
         for _ in range(30):
             sys = random_system(rng)
             part = invariant_w(sys)
-            f = Observable(tuple(F(rng.randint(-3, 3)) for _ in range(sys.n)))
+            f = random_observable(rng, sys.n, -3, 3)
             ce = cond_exp(sys, f, part)
             assert cond_exp(sys, ce, part) == ce      # idempotent
             together = sum((sys.weights[x] * ce.values[x] for x in range(sys.n)), F(0))
@@ -385,7 +227,7 @@ class TestConditionalExpectation:
             assert together == plain                  # preserves the integral
             g = f - ce
             # orthogonality to block-constant observables
-            h = cond_exp(sys, Observable(tuple(F(rng.randint(-2, 2)) for _ in range(sys.n))), part)
+            h = cond_exp(sys, random_observable(rng, sys.n), part)
             inner = sum((sys.weights[x] * g.values[x] * h.values[x] for x in range(sys.n)), F(0))
             assert inner == 0
 
@@ -435,13 +277,7 @@ class TestMagic:
     def test_box_seminorm_is_a_norm_seeded(self):
         # every weight is positive, so the diagonal orbit of each point gives
         # every indicator a positive seminorm and the seminorm kernel is {0}
-        rng = Random(151)
-        systems = []
-        for _ in range(10):
-            systems.append(random_system(rng, max_order=3, max_components=3))
-            systems.append(random_ergodic_system(rng, max_order=3))
-        systems += [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
-        for sys in systems:
+        for sys in corpus("mixed", 151, 10, extended=True):
             hm = host_measure(sys)
             for x in range(sys.n):
                 assert host_seminorm(hm, Observable.indicator(sys.n, x)).fourth_power > 0
@@ -530,15 +366,11 @@ class TestMagicExtension:
             return verdicts[key]
 
         monkeypatch.setattr(joinings, "is_magic", decide_once)
-        monkeypatch.setitem(globals(), "is_magic", decide_once)
-        rng = Random(163)
-        bases = [random_ergodic_system(rng, max_order=3) for _ in range(165)]
-        bases += [translation_system(n, 1, (1, 0), (t, 0)) for n in range(1, 7) for t in range(n)]
-        bases += [grid(a, b) for grid in (product_grid, diagonal_grid) for a in range(1, 4) for b in range(1, 4)]
-        bases += [z4_diagonal(), FiniteMPS([F(1)], [0], [0])]
+        monkeypatch.setattr(oracles, "is_magic", decide_once)
+        bases = corpus("bases", 163, 165)
         assert len(bases) >= 200
         for sys in bases:
-            ext, ref = magic_extension(sys), _magic_extension_by_decomposition(sys)
+            ext, ref = magic_extension(sys), magic_extension_by_decomposition(sys)
             assert (ext.system, ext.quadruples, ext.factor, ext.mass) == (ref.system, ref.quadruples, ref.factor, ref.mass)
             assert ext.components == ref.components
 
@@ -555,16 +387,16 @@ class TestMagicExtension:
 
 class TestPairLayer:
     def test_orbits_are_the_closure_of_the_pair_support(self):
-        for sys in _pair_layer_systems():
+        for sys in corpus("pair-layer", 20261018, 230):
             hm = host_measure(sys)
             orbits = {frozenset(orbit) for orbit in hm.orbits}
-            assert len(orbits) == len(hm.orbits) and orbits == _closure_orbits(sys)
+            assert len(orbits) == len(hm.orbits) and orbits == closure_orbits(sys)
             assert all(len(orbit) == len(set(orbit)) for orbit in hm.orbits)
 
     def test_measurability_matches_the_spread_check(self):
-        systems = _pair_layer_systems()
+        systems = corpus("pair-layer", 20261018, 230)
         verdicts = [measurability_check(sys) for sys in systems]
-        assert verdicts == [_measurable_by_spread(sys) for sys in systems]
+        assert verdicts == [measurable_by_spread(sys) for sys in systems]
         assert len(systems) >= 600 and verdicts.count(False) >= 300
 
     def test_integrals_and_verdicts_leave_the_measures_unlisted(self):

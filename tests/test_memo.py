@@ -22,6 +22,7 @@ from ergocubes.finite import (
     z4_diagonal,
 )
 from ergocubes.joinings import host_measure, invariant_w, is_magic, measurability_check
+from oracles import literal_apply, literal_cycle, literal_cycle_length
 
 
 def _counting(monkeypatch, module, name):
@@ -97,14 +98,6 @@ def test_a_dropped_system_leaves_no_reference_cycle():
         gc.enable()
 
 
-def _walk(perm, x):
-    out, y = [x], perm[x]
-    while y != x:
-        out.append(y)
-        y = perm[y]
-    return out
-
-
 def test_memoized_structure_matches_literal_walks():
     rng = Random(20261018)
     for _ in range(30):
@@ -112,18 +105,13 @@ def test_memoized_structure_matches_literal_walks():
         for _ in range(2):  # the second round is served by the memo
             for x in range(sys.n):
                 a, b, grid = sys.orbit_grid(x)
-                assert (a, b) == (len(_walk(sys.S, x)), len(_walk(sys.T, x)))
+                assert (a, b) == (literal_cycle_length(sys.S, x), literal_cycle_length(sys.T, x))
                 for r in range(a):
                     for s in range(b):
-                        p = x
-                        for _ in range(s):
-                            p = sys.T[p]
-                        for _ in range(r):
-                            p = sys.S[p]
-                        assert grid[r][s] == p
+                        assert grid[r][s] == literal_apply(sys, r, s, x)
             for perm, order, part in ((sys.S, sys.order_s(), partition_s(sys)), (sys.T, sys.order_t(), partition_t(sys))):
-                assert order == math.lcm(*(len(_walk(perm, x)) for x in range(sys.n)))
-                assert sorted(part.blocks()) == sorted({tuple(sorted(_walk(perm, x))) for x in range(sys.n)})
+                assert order == math.lcm(*(literal_cycle_length(perm, x) for x in range(sys.n)))
+                assert sorted(part.blocks()) == sorted({tuple(sorted(literal_cycle(perm, x))) for x in range(sys.n)})
         assert sys.orbit_grid(0) is sys.orbit_grid(0)
         assert partition_s(sys) is partition_s(sys)
         assert invariant_w(sys) is invariant_w(sys)
