@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -44,7 +45,7 @@ from .finite import (
     partition_s,
     partition_t,
 )
-from .joinings import cond_exp, host_integral, host_measure, host_seminorm, invariant_w, is_magic
+from .joinings import host_integral, host_measure, host_seminorm, is_magic
 
 Value = Union[Fraction, float]
 
@@ -376,11 +377,12 @@ def decompose_and_converge(
 ) -> DecompositionResult:
     """Split f3 into its W-part and mean-zero part and track both averages.
 
-    Requires a magic, ergodic, free system: there the W-part is a sum of
-    products (S-invariant block) x (T-invariant block), each contributing a
-    product of two one-dimensional cycle averages, which gives the exact
-    limit; the mean-zero part has vanishing seminorm, so its S_N bound
-    squeezes the second track to zero.
+    Requires a magic, ergodic, free system.  There W is discrete (the norm
+    argument in `joinings`), so E(f3 | W) = f3: the structured track is the
+    direct average, and the mean-zero track and its S_N bound are 0 at every
+    N.  The limit is the W-part formula over points: f3(p) times the f1-sum
+    over the S-cycle of x within the T-orbit of p, times the f2-sum over the
+    T-cycle of x within the S-orbit of p, summed over p and divided by a b.
     """
     check_schedule(schedule)
     _check_average_args(sys, (f1, f2, f3), x, max(schedule))
@@ -394,35 +396,20 @@ def decompose_and_converge(
     if failures:
         raise PreconditionError("decompose_and_converge requires a magic ergodic free system; this one is " + ", ".join(failures))
 
-    w_part = invariant_w(sys)
-    structured = cond_exp(sys, f3, w_part)
-    mean_zero = f3 - structured
-
-    p_s = partition_s(sys)
-    p_t = partition_t(sys)
+    s_orbit, t_orbit = partition_s(sys).block_of, partition_t(sys).block_of
     a, b, grid = sys.orbit_grid(x)
-    s_cycle = [row[0] for row in grid]
-    t_cycle = grid[0]
-    limit = Fraction(0)
-    for block in w_part.blocks():
-        anchor = block[0]
-        value = structured.values[anchor]
-        if value == 0:
-            continue
-        s_block = p_s.block_of[anchor]   # the S-invariant block containing D
-        t_block = p_t.block_of[anchor]   # the T-invariant block containing D
-        avg_s = sum((f1.values[p] for p in s_cycle if p_t.block_of[p] == t_block), Fraction(0)) / a
-        avg_t = sum((f2.values[p] for p in t_cycle if p_s.block_of[p] == s_block), Fraction(0)) / b
-        limit += value * avg_s * avg_t
+    (u1, d1), (u2, d2), (u3, d3) = f1.scaled, f2.scaled, f3.scaled
+    along_s, along_t = Counter(), Counter()
+    for row in grid:
+        along_s[t_orbit[row[0]]] += u1[row[0]]
+    for p in grid[0]:
+        along_t[s_orbit[p]] += u2[p]
+    total = sum(u3[p] * along_s[t_orbit[p]] * along_t[s_orbit[p]] for p in range(sys.n))
     rows = []
-    exact = True
     for N in schedule:
-        track_a = cubic_average(sys, f1, f2, structured, x, N)
-        track_b = cubic_average(sys, f1, f2, mean_zero, x, N)
         direct = cubic_average(sys, f1, f2, f3, x, N)
-        exact = exact and (track_a + track_b == direct)
-        rows.append(DecompositionRow(N, track_a, track_b, direct, windowed_sn(sys, mean_zero, x, N)))
-    return DecompositionResult(limit=limit, rows=tuple(rows), exact_sum=exact)
+        rows.append(DecompositionRow(N, direct, Fraction(0), direct, Fraction(0)))
+    return DecompositionResult(limit=Fraction(total, a * b * d1 * d2 * d3), rows=tuple(rows), exact_sum=True)
 
 
 def schedule_report(

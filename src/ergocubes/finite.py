@@ -25,19 +25,10 @@ class InvalidSystemError(ValueError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element S^i T^j of the acting group, written additively as (i, j)."""
+    """An element S^i T^j of the acting group, by its exponents (i, j)."""
 
     i: int
     j: int
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.i + other.i, self.j + other.j)
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(-self.i, -self.j)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.i - other.i, self.j - other.j)
 
 
 S_GEN = GroupElement(1, 0)

@@ -19,6 +19,15 @@ the integrals sum_C L_C R_C / mu_S(C) are summed in ints at the cost of
 |supp mu_S| (`host_integral`), measurability is decided by counting
 (`measurability_check`), and masses are listed only on demand (`mu_st`).
 
+With positive weights the box seminorm is a norm.  Expanding the integral
+over the orbits, |||f|||^4 = sum_C L_C^2 / mu_S(C), with L_C the orbit sum
+of mu_S(a,b) f(a) f(b), and every term is nonnegative.  The orbit of a
+diagonal pair (y, y) (k = 0 above) has L_C = sum_j mu_S(T^j y, T^j y)
+f(T^j y)^2, and mu_S(z, z) = w(z)^2 / w(O) > 0, so |||f||| = 0 forces f = 0
+on every T-orbit.  A magic system, whose seminorm kernel is {f : E(f|W) =
+0}, therefore has only f = 0 there: every W-block is one point, W is
+discrete and E(f|W) = f.
+
 The magic extension needs none of mu_{S,T}.  Host's construction splits it
 into ergodic components under S* = id x S x id x S and T* = id x id x T x T,
 and on a finite ergodic base these are known in closed form:

@@ -272,6 +272,7 @@ def torus_average_naive(system: TorusSystem, kind: str, observables: Sequence[Tr
     x = as_fraction(x) % 1
     a, b = system.alpha, system.beta
 
+    @functools.cache
     def at(i: int, j: int, f: TrigPoly) -> float:
         return f.value(float((x + i * a + j * b) % 1))
 
@@ -284,7 +285,7 @@ def torus_average_naive(system: TorusSystem, kind: str, observables: Sequence[Tr
     if kind == "cubic":
         f1, f2, f3 = observables
         total = math.fsum(
-            f1.value(float((x + i * a) % 1)) * f2.value(float((x + j * b) % 1)) * at(i, j, f3)
+            at(i, 0, f1) * at(0, j, f2) * at(i, j, f3)
             for i in range(N)
             for j in range(N)
         )

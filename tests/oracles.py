@@ -13,6 +13,7 @@ from functools import cache
 from itertools import product
 from random import Random
 
+from ergocubes.averaging import DecompositionResult, DecompositionRow, check_schedule, cubic_average, windowed_sn
 from ergocubes.core import Observable, PreconditionError
 from ergocubes.finite import (
     FiniteMPS,
@@ -20,8 +21,11 @@ from ergocubes.finite import (
     diagonal_grid,
     ergodic_decomposition,
     is_ergodic,
+    partition_s,
+    partition_t,
     product_grid,
     random_ergodic_system,
+    random_product_system,
     random_system,
     translation_system,
     z4_diagonal,
@@ -32,6 +36,7 @@ from ergocubes.joinings import (
     ComponentSummary,
     ExtensionConstructionError,
     MagicExtension,
+    cond_exp,
     host_measure,
     invariant_w,
     is_magic,
@@ -257,6 +262,47 @@ def listed_pushforward(hm, m):
     return pushed
 
 
+def three_track_decomposition(sys, f1, f2, f3, x, schedule):
+    """The decomposition on three tracks, the reference for the closed-form
+    `decompose_and_converge`: the cubic averages against E(f3|W), against
+    f3 - E(f3|W) and against f3 at every window, S_N of the mean-zero part,
+    and the limit summed over the W-blocks."""
+    check_schedule(schedule)
+    cubic_average(sys, f1, f2, f3, x, max(schedule))  # the point and the observables, before the verdicts
+    failures = []
+    if not is_magic(sys).is_magic:
+        failures.append("not magic")
+    if not is_ergodic(sys):
+        failures.append("not ergodic")
+    if not is_free_brute(sys).free:
+        failures.append("not free")
+    if failures:
+        raise PreconditionError("decompose_and_converge requires a magic ergodic free system; this one is " + ", ".join(failures))
+
+    w_part = invariant_w(sys)
+    structured = cond_exp(sys, f3, w_part)
+    mean_zero = f3 - structured
+    p_s, p_t = partition_s(sys), partition_t(sys)
+    a, b, grid = sys.orbit_grid(x)
+    s_cycle, t_cycle = [row[0] for row in grid], grid[0]
+    limit = F(0)
+    for block in w_part.blocks():
+        anchor = block[0]
+        s_block, t_block = p_s.block_of[anchor], p_t.block_of[anchor]
+        avg_s = sum((f1.values[p] for p in s_cycle if p_t.block_of[p] == t_block), F(0)) / a
+        avg_t = sum((f2.values[p] for p in t_cycle if p_s.block_of[p] == s_block), F(0)) / b
+        limit += structured.values[anchor] * avg_s * avg_t
+    rows = []
+    exact = True
+    for N in schedule:
+        track_a = cubic_average(sys, f1, f2, structured, x, N)
+        track_b = cubic_average(sys, f1, f2, mean_zero, x, N)
+        direct = cubic_average(sys, f1, f2, f3, x, N)
+        exact = exact and track_a + track_b == direct
+        rows.append(DecompositionRow(N, track_a, track_b, direct, windowed_sn(sys, mean_zero, x, N)))
+    return DecompositionResult(limit=limit, rows=tuple(rows), exact_sum=exact)
+
+
 def pair_tensor(first, second):
     """The product of `first`'s pair measure along S and `second`'s along T."""
     transposed = FiniteMPS(list(second.weights), list(second.T), list(second.S))
@@ -351,6 +397,15 @@ def _cube_report(rng):
     return systems + [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(4)]
 
 
+def _decompose(rng, count):
+    systems = []
+    for _ in range(count):
+        systems.append(random_product_system(rng))
+        systems.append(random_system(rng, max_order=3))
+        systems.append(magic_extension(random_ergodic_system(rng, max_order=3)).system)
+    return systems
+
+
 @cache
 def _pair_layer(seed, count):
     rng = Random(seed)
@@ -369,6 +424,7 @@ _FAMILIES = {
     "freeness": _freeness,
     "bases": _bases,
     "cube-report": _cube_report,
+    "decompose": _decompose,
 }
 
 
@@ -377,8 +433,10 @@ def corpus(family, seed, *count, extended=False):
     "mixed" draw `count` random systems (up to 2 or 3 components), each
     followed by an ergodic one; "pair-layer" is "mixed" with extensions,
     grids and translations, built once per seed and count; "freeness",
-    "bases" (`count` ergodic draws, then stock systems) and "cube-report"
-    are the inputs of the freeness, extension and `cube` report tests.
+    "bases" (`count` ergodic draws, then stock systems), "cube-report" and
+    "decompose" (`count` times a product system, a random system and a
+    magic-extension fiber) are the inputs of the freeness, extension,
+    `cube` report and decomposition tests.
     `seed` is an int, or a `Random` whose draws the caller goes on using;
     `extended` appends the magic extension of each ergodic system."""
     if family == "pair-layer":

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ergocubes import averaging, joinings
 from ergocubes.averaging import (
     AVERAGE_KINDS,
     AverageSpec,
@@ -38,6 +39,7 @@ from ergocubes.finite import (
 from ergocubes.joinings import host_measure, host_seminorm
 from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant
 from oracles import (
+    corpus,
     draws,
     literal_birkhoff,
     literal_box_hits,
@@ -45,6 +47,7 @@ from oracles import (
     mixed_observable,
     random_observable,
     sign_observable,
+    three_track_decomposition,
     z4_observable,
 )
 
@@ -407,6 +410,39 @@ class TestDecomposition:
             assert result.rows[-1].direct == result.limit
             assert result.rows[-2].direct == result.limit
             count += 1
+
+    def test_matches_the_three_track_route_seeded(self):
+        rng = Random(409)
+        accepted = 0
+        systems = corpus("decompose", 401, 134)
+        assert len(systems) >= 400
+        for sys in systems:
+            fs = [mixed_observable(rng, sys.n) for _ in range(3)]
+            x = rng.randrange(sys.n)
+            period = math.lcm(*sys.orbit_grid(x)[:2])
+            schedule = sorted({1, max(1, period // 2), period, 2 * period})
+            outcomes = []
+            for route in (decompose_and_converge, three_track_decomposition):
+                try:
+                    outcomes.append(route(sys, *fs, x, schedule))
+                except PreconditionError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1], (sys, x, schedule)
+            accepted += not isinstance(outcomes[0], str)
+        assert 0 < accepted < len(systems)
+
+    def test_one_cubic_average_per_window(self, monkeypatch):
+        calls = []
+        cubic = averaging.cubic_average
+        monkeypatch.setattr(averaging, "cubic_average", lambda *args: calls.append(args[-1]) or cubic(*args))
+        for name, module in (("windowed_sn", averaging), ("cond_exp", joinings)):
+            monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        sys = product_grid(3, 4)
+        f = mixed_observable(Random(419), sys.n)
+        schedule = [1, 5, 12, 24]
+        result = decompose_and_converge(sys, f, f, f, 2, schedule)
+        assert calls == schedule
+        assert [row.direct for row in result.rows] == [cubic(sys, f, f, f, 2, N) for N in schedule]
 
     def test_rejects_non_magic_system(self):
         f = z4_observable()

@@ -102,13 +102,6 @@ class TestAction:
             assert sys.apply(g, x) == expected
             assert sys.group_perm(g)[x] == expected
 
-    def test_group_elements_compose(self):
-        g = GroupElement(2, -1)
-        h = GroupElement(-3, 4)
-        assert g + h == GroupElement(-1, 3)
-        assert g - h == GroupElement(5, -5)
-        assert -g == GroupElement(-2, 1)
-
     def test_points_outside_the_system_are_rejected(self):
         sys = product_grid(2, 2)
         for x in (-1, sys.n):

@@ -24,6 +24,8 @@ ORACLE_IMPORTS = {
     "random_ergodic_system", "random_product_system", "random_system",
     "ergodic_decomposition", "host_measure", "invariant_w", "is_ergodic", "is_magic", "magic_extension",
     "rel_indep_square",
+    "DecompositionResult", "DecompositionRow", "check_schedule", "cond_exp", "cubic_average", "partition_s",
+    "partition_t", "windowed_sn",
 }
 
 # Each reference in `tests/oracles.py`, and the program names it checks: the
@@ -41,6 +43,7 @@ REFERENCES = {
     "measurable_by_spread": ("measurability_check",),
     "magic_extension_by_decomposition": ("magic_extension", "cube_over", "is_free"),
     "listed_pushforward": ("product_cube_identification",),
+    "three_track_decomposition": ("decompose_and_converge",),
 }
 
 

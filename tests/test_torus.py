@@ -316,8 +316,17 @@ class TestExactZerosAndHalves:
                 assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9), (N, x)
 
     @pytest.mark.parametrize("kind", ["windowed_sn", "fourfold"])
+    def test_quadruple_kinds_match_naive(self, kind):
+        rng = Random(461)
+        for x in (0, F(1, 2)):
+            obs = [random_poly(rng, max_freq=3) for _ in range(AVERAGE_KINDS[kind])]
+            fast = torus_average(self.SYSTEM, kind, obs, x, 21)
+            slow = torus_average_naive(self.SYSTEM, kind, obs, x, 21)
+            assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9), x
+
+    @pytest.mark.parametrize("kind", ["windowed_sn", "fourfold"])
     def test_quadruple_kinds_match_the_period_box(self, kind):
-        # the N^4 naive loop takes seconds at N = 21; one period per index
+        # the N^4 naive loop takes seconds at N = 42; one period per index
         # gives the same box average (checked against the naive loop below)
         rng = Random(443)
         for N in (21, 42):
