@@ -13,7 +13,8 @@ returned value is the one `Fraction` of the integer sum over the window
 volume times those denominators.  The S_N sum (`sn_sum`) and the cubic row
 sums (`cubic_rows`) are shared with the exhaustive bound sweep.  Point-mass
 box averages, Birkhoff's here and the empirical engine's in `cubes`, count
-hits with `box_hits`; every per-N report comes from `schedule_report`.
+hits with `box_hits`; every per-N result, the decomposition's included, is
+a `ConvergenceReport` from `schedule_report`.
 Literal-loop references (`*_naive`) are kept for equality testing.
 """
 
@@ -356,33 +357,17 @@ def check_telescoping(a: Sequence, b: Sequence) -> TelescopingCheck:
     return TelescopingCheck(identity, bound)
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    N: int
-    track_a: Fraction    # cubic average against E(f3 | W)
-    track_b: Fraction    # cubic average against f3 - E(f3 | W)
-    direct: Fraction     # cubic average against f3
-    sn_bound: Fraction   # S_N of the mean-zero part (bounds track_b^4)
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    limit: Fraction                      # exact limit of the structured track
-    rows: Tuple[DecompositionRow, ...]
-    exact_sum: bool                      # track_a + track_b == direct at every N
-
-
 def decompose_and_converge(
     sys: FiniteMPS, f1: Observable, f2: Observable, f3: Observable, x: int, schedule: Sequence[int]
-) -> DecompositionResult:
-    """Split f3 into its W-part and mean-zero part and track both averages.
+) -> ConvergenceReport:
+    """The cubic average over the schedule against its limit, the W-part of f3.
 
     Requires a magic, ergodic, free system.  There W is discrete (the norm
-    argument in `joinings`), so E(f3 | W) = f3: the structured track is the
-    direct average, and the mean-zero track and its S_N bound are 0 at every
-    N.  The limit is the W-part formula over points: f3(p) times the f1-sum
-    over the S-cycle of x within the T-orbit of p, times the f2-sum over the
-    T-cycle of x within the S-orbit of p, summed over p and divided by a b.
+    argument in `joinings`), so E(f3 | W) = f3 and the mean-zero part is 0:
+    each row's value is the cubic average, and its reference the W-part
+    formula over points: f3(p) times the f1-sum over the S-cycle of x within
+    the T-orbit of p, times the f2-sum over the T-cycle of x within the
+    S-orbit of p, summed over p and divided by a b.
     """
     check_schedule(schedule)
     _check_average_args(sys, (f1, f2, f3), x, max(schedule))
@@ -405,11 +390,8 @@ def decompose_and_converge(
     for p in grid[0]:
         along_t[s_orbit[p]] += u2[p]
     total = sum(u3[p] * along_s[t_orbit[p]] * along_t[s_orbit[p]] for p in range(sys.n))
-    rows = []
-    for N in schedule:
-        direct = cubic_average(sys, f1, f2, f3, x, N)
-        rows.append(DecompositionRow(N, direct, Fraction(0), direct, Fraction(0)))
-    return DecompositionResult(limit=Fraction(total, a * b * d1 * d2 * d3), rows=tuple(rows), exact_sum=True)
+    limit = Fraction(total, a * b * d1 * d2 * d3)
+    return schedule_report(schedule, lambda N: cubic_average(sys, f1, f2, f3, x, N), limit, {"kind": "cubic", "start": x, "n": sys.n})
 
 
 def schedule_report(

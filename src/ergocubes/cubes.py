@@ -155,15 +155,11 @@ def product_cube_identification(first: FiniteMPS, second: FiniteMPS) -> ProductC
         intertwines = all(
             keys[perm[k]] == (y_move[y], w_move[w]) for perm, y_move, w_move in moves for k, (y, w) in enumerate(keys)
         )
-        # mu_{S,T}(p + q) = u(p) u(q) inverse_C / (d lcm) for pairs p, q of one orbit C
         hm = host_measure(prod)
         pushed: Dict[PairKey, int] = {}
-        for orbit, inverse in zip(hm.orbits, hm.inverse):
-            pairs = [(p, hm.u[p[0]] * hm.u[p[1]]) for p in orbit]
-            for p, mp in pairs:
-                for q, mq in pairs:
-                    key = images[p + q]
-                    pushed[key] = pushed.get(key, 0) + mp * mq * inverse
+        for quad, mass in hm.scaled_masses():
+            key = images[quad]
+            pushed[key] = pushed.get(key, 0) + mass
         y_measure = rel_indep_square(first)
         w_measure = rel_indep_square(_transpose(second))
         tensor = {

@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import (
     DimensionError,
@@ -170,13 +170,17 @@ class HostMeasure:
         listed without computing their masses."""
         return {p + q for orbit in self.orbits for p in orbit for q in orbit}
 
-    @cached_property
-    def mu_st(self) -> SparseMeasure:
-        entries = {}
+    def scaled_masses(self) -> Iterator[Tuple[Quad, int]]:
+        """(p + q, u(p) u(q) inverse_C) for the pairs p, q of each orbit C,
+        orbit by orbit: the masses of mu_{S,T} times d lcm."""
         for orbit, inverse in zip(self.orbits, self.inverse):
             pairs = [(p, self.u[p[0]] * self.u[p[1]]) for p in orbit]
-            entries.update((p + q, Fraction(mp * mq * inverse, self.d * self.lcm)) for p, mp in pairs for q, mq in pairs)
-        return SparseMeasure(4, self.n, entries)
+            yield from ((p + q, mp * mq * inverse) for p, mp in pairs for q, mq in pairs)
+
+    @cached_property
+    def mu_st(self) -> SparseMeasure:
+        den = self.d * self.lcm
+        return SparseMeasure(4, self.n, {quad: Fraction(mass, den) for quad, mass in self.scaled_masses()})
 
 
 def host_measure(sys: FiniteMPS) -> HostMeasure:

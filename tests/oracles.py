@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from random import Random
+from typing import NamedTuple, Tuple
 
-from ergocubes.averaging import DecompositionResult, DecompositionRow, check_schedule, cubic_average, windowed_sn
+from ergocubes.averaging import check_schedule, cubic_average, windowed_sn
 from ergocubes.core import Observable, PreconditionError
 from ergocubes.finite import (
     FiniteMPS,
@@ -262,11 +263,25 @@ def listed_pushforward(hm, m):
     return pushed
 
 
+class TrackRow(NamedTuple):
+    N: int
+    track_a: Fraction    # cubic average against E(f3 | W)
+    track_b: Fraction    # cubic average against f3 - E(f3 | W)
+    direct: Fraction     # cubic average against f3
+    sn_bound: Fraction   # S_N of the mean-zero part (bounds track_b^4)
+
+
+class ThreeTracks(NamedTuple):
+    limit: Fraction                      # exact limit of the structured track
+    rows: Tuple[TrackRow, ...]
+    exact_sum: bool                      # track_a + track_b == direct at every N
+
+
 def three_track_decomposition(sys, f1, f2, f3, x, schedule):
     """The decomposition on three tracks, the reference for the closed-form
     `decompose_and_converge`: the cubic averages against E(f3|W), against
     f3 - E(f3|W) and against f3 at every window, S_N of the mean-zero part,
-    and the limit summed over the W-blocks."""
+    and the limit summed over the W-blocks (`ThreeTracks`)."""
     check_schedule(schedule)
     cubic_average(sys, f1, f2, f3, x, max(schedule))  # the point and the observables, before the verdicts
     failures = []
@@ -299,8 +314,8 @@ def three_track_decomposition(sys, f1, f2, f3, x, schedule):
         track_b = cubic_average(sys, f1, f2, mean_zero, x, N)
         direct = cubic_average(sys, f1, f2, f3, x, N)
         exact = exact and track_a + track_b == direct
-        rows.append(DecompositionRow(N, track_a, track_b, direct, windowed_sn(sys, mean_zero, x, N)))
-    return DecompositionResult(limit=limit, rows=tuple(rows), exact_sum=exact)
+        rows.append(TrackRow(N, track_a, track_b, direct, windowed_sn(sys, mean_zero, x, N)))
+    return ThreeTracks(limit, tuple(rows), exact)
 
 
 def pair_tensor(first, second):

@@ -34,7 +34,14 @@ from ergocubes.finite import (
 from ergocubes.joinings import host_measure, host_seminorm, is_magic, magic_extension
 from ergocubes.torus import TrigPoly, sqrt23_system, torus_report
 from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant
-from oracles import autocorrelation_fourth_power, cycle_patterns, literal_cycle_length, random_observable, sign_observable
+from oracles import (
+    autocorrelation_fourth_power,
+    cycle_patterns,
+    literal_cycle_length,
+    random_observable,
+    sign_observable,
+    three_track_decomposition,
+)
 
 F = Fraction
 
@@ -193,17 +200,20 @@ def test_criterion_5_decomposition_tracks():
         x = rng.randrange(sys.n)
         period = math.lcm(a, b)
         schedule = sorted({1, 2, period - 1, period, 2 * period} - {0})
-        result = decompose_and_converge(sys, *obs, x, schedule)
-        if not result.exact_sum:
+        report = decompose_and_converge(sys, *obs, x, schedule)
+        tracks = three_track_decomposition(sys, *obs, x, schedule)
+        if not tracks.exact_sum:
             failures.append(f"trial {trial}: track sums differ from the direct average")
-        for row in result.rows:
-            if row.track_a + row.track_b != row.direct:
+        for row, track in zip(report.rows, tracks.rows, strict=True):
+            if track.track_a + track.track_b != track.direct:
                 failures.append(f"trial {trial} N={row.N}: sum mismatch")
+            if (row.N, row.value, row.reference) != (track.N, track.direct, tracks.limit):
+                failures.append(f"trial {trial} N={row.N}: report differs from the three tracks")
             if row.N % period == 0:
-                bound = 2.0 * float(row.sn_bound) ** 0.25 + 1e-9
-                if abs(float(row.track_b)) > bound:
+                bound = 2.0 * float(track.sn_bound) ** 0.25 + 1e-9
+                if abs(float(track.track_b)) > bound:
                     failures.append(f"trial {trial} N={row.N}: track b above its window bound")
-                if row.direct != result.limit:
+                if row.value != row.reference:
                     failures.append(f"trial {trial} N={row.N}: not stabilized at the limit")
     elapsed = time.perf_counter() - begin
     ok = not failures

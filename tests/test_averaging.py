@@ -37,7 +37,8 @@ from ergocubes.finite import (
     z4_diagonal,
 )
 from ergocubes.joinings import host_measure, host_seminorm
-from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant
+from ergocubes.cli import main
+from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant, verify_decomposition
 from oracles import (
     corpus,
     draws,
@@ -357,7 +358,7 @@ class TestDecomposition:
         f1 = Observable((F(1), F(0), F(-1), F(1), F(2), F(0)))
         f2 = Observable((F(0), F(1), F(1), F(-1), F(0), F(2)))
         f3 = Observable((F(1), F(-1), F(0), F(2), F(1), F(-2)))
-        result = decompose_and_converge(sys, f1, f2, f3, 0, [1, 2, 3, 6, 12])
+        report = decompose_and_converge(sys, f1, f2, f3, 0, [1, 2, 3, 6, 12])
         # on this product the joint invariant partition is discrete, so the
         # limit is the factored full-window average, computable directly
         expected = (
@@ -371,29 +372,31 @@ class TestDecomposition:
             )
             / 6
         )
-        assert result.limit == expected
-        assert result.exact_sum
-        for row in result.rows:
-            # mean-zero part vanishes when the invariant partition is discrete
-            assert row.track_b == 0
-            assert row.sn_bound == 0
-            assert row.track_a == row.direct
-            assert row.track_b**4 <= row.sn_bound
-        by_n = {row.N: row for row in result.rows}
-        assert by_n[6].direct == result.limit
-        assert by_n[12].direct == result.limit
+        for row in report.rows:
+            assert row.value == cubic_average(sys, f1, f2, f3, 0, row.N)
+            assert row.reference == expected
+            assert row.abs_error == abs(row.value - expected)
+        by_n = {row.N: row for row in report.rows}
+        assert by_n[6].value == expected
+        assert by_n[12].value == expected
+        assert report.to_csv() == (
+            "N,value,reference,abs_error\n1,0/1,-1/3,1/3\n2,0/1,-1/3,1/3\n3,-1/3,-1/3,0/1\n6,-1/3,-1/3,0/1\n12,-1/3,-1/3,0/1\n"
+        )
 
     def test_minus_one_sixth_case(self):
         sys = product_grid(2, 3)
         f1 = Observable((F(1), F(0), F(0), F(-1), F(0), F(0)))
         f2 = Observable((F(1), F(1), F(1), F(0), F(0), F(0)))
         f3 = Observable((F(0), F(1), F(0), F(0), F(1), F(0)))
-        result = decompose_and_converge(sys, f1, f2, f3, 3, [6])
+        report = decompose_and_converge(sys, f1, f2, f3, 3, [6])
         # start 3 = (1, 0): the S-window sees f1(3) = -1 paired with the
         # T-window mass of f2 f3 along the matching rows
-        assert result.rows[0].direct == result.limit
+        assert report.rows[0].value == report.rows[0].reference
 
     def test_exact_sum_and_squeeze_seeded(self):
+        # the three tracks of the reference add up and the mean-zero track is
+        # squeezed by its S_N bound; the report's rows are its direct track
+        # against its limit, reached at every full period
         rng = Random(367)
         count = 0
         while count < 10:
@@ -402,13 +405,15 @@ class TestDecomposition:
             f1, f2, f3 = (random_observable(rng, sys.n, -1, 1) for _ in range(3))
             x = rng.randrange(sys.n)
             lcm = math.lcm(a, b)
-            result = decompose_and_converge(sys, f1, f2, f3, x, sorted({1, 2, lcm, 2 * lcm}))
-            assert result.exact_sum
-            for row in result.rows:
-                assert row.track_a + row.track_b == row.direct
-                assert row.track_b**4 <= row.sn_bound
-            assert result.rows[-1].direct == result.limit
-            assert result.rows[-2].direct == result.limit
+            schedule = sorted({1, 2, lcm, 2 * lcm})
+            report = decompose_and_converge(sys, f1, f2, f3, x, schedule)
+            tracks = three_track_decomposition(sys, f1, f2, f3, x, schedule)
+            assert tracks.exact_sum
+            for row, track in zip(report.rows, tracks.rows, strict=True):
+                assert track.track_a + track.track_b == track.direct
+                assert track.track_b**4 <= track.sn_bound
+                assert (row.N, row.value, row.reference) == (track.N, track.direct, tracks.limit)
+            assert report.rows[-1].abs_error == report.rows[-2].abs_error == 0
             count += 1
 
     def test_matches_the_three_track_route_seeded(self):
@@ -427,8 +432,20 @@ class TestDecomposition:
                     outcomes.append(route(sys, *fs, x, schedule))
                 except PreconditionError as err:
                     outcomes.append(str(err))
-            assert outcomes[0] == outcomes[1], (sys, x, schedule)
-            accepted += not isinstance(outcomes[0], str)
+            report, tracks = outcomes
+            if isinstance(report, str) or isinstance(tracks, str):
+                assert report == tracks, (sys, x, schedule)
+                continue
+            accepted += 1
+            # W is discrete on every system the route accepts: the mean-zero
+            # track and its S_N bound vanish, and the tracks add up exactly
+            assert tracks.exact_sum
+            for track in tracks.rows:
+                assert track.track_a + track.track_b == track.direct
+                assert track.track_b == 0 and track.sn_bound == 0
+            assert [(row.N, row.value, row.reference) for row in report.rows] == [
+                (track.N, track.direct, tracks.limit) for track in tracks.rows
+            ], (sys, x, schedule)
         assert 0 < accepted < len(systems)
 
     def test_one_cubic_average_per_window(self, monkeypatch):
@@ -440,9 +457,26 @@ class TestDecomposition:
         sys = product_grid(3, 4)
         f = mixed_observable(Random(419), sys.n)
         schedule = [1, 5, 12, 24]
-        result = decompose_and_converge(sys, f, f, f, 2, schedule)
+        report = decompose_and_converge(sys, f, f, f, 2, schedule)
         assert calls == schedule
-        assert [row.direct for row in result.rows] == [cubic(sys, f, f, f, 2, N) for N in schedule]
+        assert [row.value for row in report.rows] == [cubic(sys, f, f, f, 2, N) for N in schedule]
+
+    def test_the_verify_check_sees_a_kernel_off_at_the_full_period(self, monkeypatch, capsys):
+        # a cubic kernel one too high at every N that is a multiple of
+        # lcm(a, b): the rows there miss the limit, and the suite's one
+        # check reports it
+        cubic = averaging.cubic_average
+
+        def off_by_one(sys, f1, f2, f3, x, N):
+            a, b, _ = sys.orbit_grid(x)
+            return cubic(sys, f1, f2, f3, x, N) + (N % math.lcm(a, b) == 0)
+
+        monkeypatch.setattr(averaging, "cubic_average", off_by_one)
+        result = verify_decomposition(seed=0, trials=3)
+        assert result.failures == len(result.findings) == 6
+        assert all(" averages do not stabilize at the full period N=" in finding for finding in result.findings)
+        assert main(["verify", "--suite", "decompose", "--trials", "3"]) == 2
+        assert "decompose  FAIL" in capsys.readouterr().out
 
     def test_rejects_non_magic_system(self):
         f = z4_observable()

@@ -631,6 +631,12 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
 
+    def test_the_parser_raises_usage_errors(self):
+        # argparse calls `error` on a usage problem and would exit 2; the
+        # override raises instead, so `main` reports it and exits 1
+        with pytest.raises(cli.CliError, match=r"^bad flag \(see ergocubes --help\)$"):
+            cli.build_parser().error("bad flag")
+
     def test_one_parser_serves_every_call(self, capsys):
         # the same bytes as with a parser built afresh for each call, and no
         # --observable carried over from one call into the next

@@ -1,9 +1,11 @@
 """Source hygiene: no unused imports, no private names imported across modules,
-every name the benchmark harness reads from ergocubes still exists, and the
-test references in `tests/oracles.py` stay independent of what they check."""
+no definition in ergocubes that nothing reads, every name the benchmark
+harness reads from ergocubes still exists, and the test references in
+`tests/oracles.py` stay independent of what they check."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ ORACLE_IMPORTS = {
     "random_ergodic_system", "random_product_system", "random_system",
     "ergodic_decomposition", "host_measure", "invariant_w", "is_ergodic", "is_magic", "magic_extension",
     "rel_indep_square",
-    "DecompositionResult", "DecompositionRow", "check_schedule", "cond_exp", "cubic_average", "partition_s",
+    "check_schedule", "cond_exp", "cubic_average", "partition_s",
     "partition_t", "windowed_sn",
 }
 
@@ -103,6 +105,69 @@ def test_the_scan_sees_an_unused_and_a_private_import():
     names = {name for _, _, name in _imports(tree)}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_annotation_names(tree))
     assert names - used == {"_grid", "math"}
+
+
+def _definitions(tree: ast.AST):
+    """Each top-level function and class, and each non-dunder method, as its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item for item in node.body
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read: as an `ast.Name`, as an attribute, as an
+    imported name, or inside a string annotation."""
+    reads = Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+    reads.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    reads.update(alias.name for _, alias, _ in _imports(tree))
+    reads.update(_annotation_names(tree))
+    return reads
+
+
+def _dead_definitions(defining: dict, reading: list):
+    """The definitions in the `defining` sources (label -> text) whose name
+    is read nowhere in `reading` outside their own body; `cmd_*` handlers
+    are exempt, since `cli.main` looks them up by name."""
+    total = Counter()
+    for source in reading:
+        total += _reads(ast.parse(source))
+    dead = []
+    for label, source in defining.items():
+        for node in _definitions(ast.parse(source)):
+            if not node.name.startswith("cmd_") and total[node.name] == _reads(node)[node.name]:
+                dead.append(f"{label}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_every_definition_is_read():
+    reading = [p.read_text() for p in SOURCES + TESTS + HARNESS]
+    dead = _dead_definitions({p.name: p.read_text() for p in SOURCES}, reading)
+    assert not dead, "defined but never read: " + ", ".join(dead)
+
+
+def test_the_scan_sees_a_dead_definition():
+    module = (
+        "def used():\n"
+        "    return 1\n"
+        "def dead(n):\n"
+        "    return dead(n - 1)\n"
+        "class Box:\n"
+        "    def read(self):\n"
+        "        return used()\n"
+        "    def unread(self):\n"
+        "        return Box()\n"
+        "    def __repr__(self):\n"
+        "        return 'Box'\n"
+        "def cmd_run(args):\n"
+        "    return 0\n"
+    )
+    user = "from mod import Box\nBox().read()\n"
+    assert _dead_definitions({"mod.py": module}, [module, user]) == ["mod.py:3 dead", "mod.py:8 unread"]
 
 
 _MISSING = object()
