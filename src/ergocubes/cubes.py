@@ -7,10 +7,14 @@ provides the one-dimensional pair analogue, the identification of a
 product system's quadruple space with a product of pair spaces, and an
 empirical engine that measures how fast box averages of point masses
 approach a reference measure under any commuting tuple of permutations.
+On an ergodic system the cube space is X x Z_a x Z_b, which gives the
+engine's deviation from the uniform measure in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
@@ -28,7 +32,7 @@ from .finite import (
     product_system,
 )
 from .joinings import S_STAR, T_STAR, cube_over, diagonal_rule, host_measure, rel_indep_square, rule_permutation
-from .averaging import ConvergenceReport, box_hits, check_schedule, schedule_report
+from .averaging import ConvergenceReport, box_hits, check_schedule, schedule_report, window_counts
 
 _ID = GroupElement(0, 0)
 
@@ -194,12 +198,6 @@ def empirical_unique_ergodicity(
     the reference.  Everything is exact: the orbit point depends only on the
     exponents modulo the generator cycle lengths, which are constant along a
     joint orbit because the generators commute.
-
-    When the reference is invariant under every generator, only the first
-    requested start of each joint orbit is evaluated.  For y = g x the box of
-    y is g applied to the box of x with the same window counts (g commutes
-    with the generators), so the hits of y are those of x moved by g, and an
-    invariant reference gives both starts the same deviation.
     """
     if reference.arity != 1:
         raise DimensionError(f"reference must have arity 1, got {reference.arity}")
@@ -223,16 +221,9 @@ def empirical_unique_ergodicity(
     d = len(perms)
     ref_nums, ref_den = common_denominator(reference.entries.values())
     ref = {p: v for (p,), v in zip(reference.entries, ref_nums)}
-    evaluated = start_list
-    if all(ref.get(perm[p], 0) == ref.get(p, 0) for perm in perms for p in range(m)):
-        orbit_of = orbit_partition(perms, m).block_of
-        firsts: Dict[int, int] = {}
-        for x in start_list:
-            firsts.setdefault(orbit_of[x], x)
-        evaluated = list(firsts.values())
     # The generators commute, so each one's cycle length is the same at
     # every point of a box.
-    boxes = [(x, [len(perm_cycle(perm, x)) for perm in perms]) for x in evaluated]
+    boxes = [(x, [len(perm_cycle(perm, x)) for perm in perms]) for x in start_list]
 
     def deviation(N: int) -> Fraction:
         # worst: twice the total-variation distance, times N^d * ref_den.
@@ -244,3 +235,19 @@ def empirical_unique_ergodicity(
 
     metadata = {"kind": "empirical_unique_ergodicity", "points": m, "generators": d, "starts": len(start_list)}
     return schedule_report(schedule, deviation, Fraction(0), metadata)
+
+
+def uniform_cube_deviation(sys: FiniteMPS, N: int) -> Fraction:
+    """`empirical_unique_ergodicity` at window size N on the cube space of an
+    ergodic system and its uniform measure, from any start.  The space is
+    X x Z_a x Z_b: side moves shift (i mod a, j mod b) and diagonals move the
+    base, so the box hits factor as h(y) c_a(i) c_b(j)."""
+    if not is_ergodic(sys):
+        raise PreconditionError("the uniform cube deviation needs an ergodic system")
+    a, b = sys.orbit_grid(0)[:2]
+    h = Counter(box_hits(lambda t, p: sys.T[p] if t else sys.S[p], 0, (a, b), N).values())
+    h[0] = sys.n - sum(h.values())  # the points the base box misses
+    cells = itertools.product(h.items(), Counter(window_counts(N, a)).items(), Counter(window_counts(N, b)).items())
+    size, volume = sys.n * a * b, N**4
+    total = sum(mh * ma * mb * abs(vh * va * vb * size - volume) for (vh, mh), (va, ma), (vb, mb) in cells)
+    return Fraction(total, 2 * volume * size)

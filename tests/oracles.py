@@ -405,6 +405,11 @@ def _bases(rng, count):
     return systems + _cyclic(7) + _grids(4) + [z4_diagonal(), FiniteMPS([F(1)], [0], [0])]
 
 
+def _uniform_cubes(rng, count):
+    systems = _grids(6) + [random_ergodic_system(rng, max_order=2 + k % 4) for k in range(count)]
+    return systems + [translation_system(n, 1, (1, 0), (3 % n, 0)) for n in range(2, 13)]
+
+
 def _cube_report(rng):
     systems = [random_system(rng, max_order=4, max_components=3) for _ in range(12)]
     candidates = [random_system(rng, max_order=3, max_components=3) for _ in range(60)]
@@ -439,6 +444,7 @@ _FAMILIES = {
     "freeness": _freeness,
     "bases": _bases,
     "cube-report": _cube_report,
+    "uniform-cubes": _uniform_cubes,
     "decompose": _decompose,
 }
 
@@ -451,7 +457,10 @@ def corpus(family, seed, *count, extended=False):
     "bases" (`count` ergodic draws, then stock systems), "cube-report" and
     "decompose" (`count` times a product system, a random system and a
     magic-extension fiber) are the inputs of the freeness, extension,
-    `cube` report and decomposition tests.
+    `cube` report and decomposition tests; "uniform-cubes" (the grids up to
+    5 x 5, `count` ergodic draws with max_order cycling through 2..5,
+    Z_2..Z_12 with S = +1 and T = +3) is the input of the closed-form cube
+    deviation test.
     `seed` is an int, or a `Random` whose draws the caller goes on using;
     `extended` appends the magic extension of each ergodic system."""
     if family == "pair-layer":

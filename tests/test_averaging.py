@@ -385,13 +385,15 @@ class TestDecomposition:
 
     def test_minus_one_sixth_case(self):
         sys = product_grid(2, 3)
-        f1 = Observable((F(1), F(0), F(0), F(-1), F(0), F(0)))
+        f1 = Observable((F(0), F(0), F(0), F(-1), F(0), F(0)))
         f2 = Observable((F(1), F(1), F(1), F(0), F(0), F(0)))
         f3 = Observable((F(0), F(1), F(0), F(0), F(1), F(0)))
-        report = decompose_and_converge(sys, f1, f2, f3, 3, [6])
-        # start 3 = (1, 0): the S-window sees f1(3) = -1 paired with the
-        # T-window mass of f2 f3 along the matching rows
-        assert report.rows[0].value == report.rows[0].reference
+        report = decompose_and_converge(sys, f1, f2, f3, 0, [6, 12])
+        # start 0: f2 is 1 on its whole T-cycle {0, 1, 2}; every odd i sees
+        # f1(S^i 0) = f1(3) = -1, and f3(S^i T^j 0) = f3(T^j 3) is 1 only at
+        # T 3 = 4, one j in three: -(1/2)(1/3)
+        for row in report.rows:
+            assert row.value == row.reference == F(-1, 6)
 
     def test_exact_sum_and_squeeze_seeded(self):
         # the three tracks of the reference add up and the mean-zero track is

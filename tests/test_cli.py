@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ergocubes import cli, joinings
+from ergocubes import cli, cubes, joinings
 from ergocubes.cli import main
 from ergocubes.cubes import cube_space, two_sided_cube
 from ergocubes.finite import (
@@ -536,7 +536,7 @@ class TestCube:
         def unlisted(system):
             raise AssertionError("the cube space was listed")
 
-        monkeypatch.setattr(cli, "cube_space", unlisted)
+        monkeypatch.setattr(cubes, "cube_space", unlisted)
         path = write_system(tmp_path / "two.json", FiniteMPS([Fraction(1, 4)] * 4, [1, 0, 3, 2], [0, 1, 2, 3]))
         code, out, _ = run(capsys, "cube", "--system", path)
         assert code == 0
@@ -579,6 +579,25 @@ class TestCube:
             tracemalloc.stop()
         assert (code, err) == (0, "")
         assert out.startswith("quadruples: 2560000\ntransform orbits: 1\n")
+        assert peak < 16 * 2**20
+
+    def test_schedule_memory_follows_the_orbit_grid(self, capsys, tmp_path):
+        # product_grid(40, 40) --schedule: every box hit is distinct for
+        # N <= 40, so the deviation is 1 - N^4 / 2,560,000
+        path = write_system(tmp_path / "grid.json", product_grid(40, 40))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "cube", "--system", path, "--schedule", "3,7,16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.endswith(
+            "empirical deviation from uniform (worst start):\n"
+            "  N=3: 2559919/2560000 (~0.999968)\n"
+            "  N=7: 2557599/2560000 (~0.999062)\n"
+            "  N=16: 609/625 (~0.974400)\n"
+        )
         assert peak < 16 * 2**20
 
     def test_identification(self, capsys, tmp_path):

@@ -13,7 +13,10 @@ were recorded from the code that still listed the whole cube space for every
 code that still reduced every torus phase as a `Fraction`; they pin the float
 bits where N times a 128-bit rotation amount must be reduced exactly.  The
 `cube --identify-with` runs were recorded from the code that still pushed the
-listed quadruple measure forward to the factor pairs.  The recording is the
+listed quadruple measure forward to the factor pairs.  The `cube --system
+z12-s1-t3.json` and `cube --builtin grid-2x3 ... --starts 0,107` schedule
+runs were recorded from the code that still listed the cube space and ran
+the general empirical engine for `cube --schedule`.  The recording is the
 spec: it is never re-recorded to agree with a change.
 """
 
@@ -51,13 +54,16 @@ GOLDEN_ARGVS += [
     ["cube", "--builtin", "product-2x3", "--schedule", "1,4,8"],
     ["cube", "--system", "z5-s2.json", "--identify-with", "z3-t1.json"],
     ["cube", "--system", "z4-s1.json", "--identify-with", "z6-t5.json"],
+    ["cube", "--system", "z12-s1-t3.json", "--schedule", "1,2,3,5,7,16,31,4096"],
+    ["cube", "--builtin", "grid-2x3", "--schedule", "1,2,3,5,7,1099511627776", "--starts", "0,107"],
 ]
-# The factor files the `--identify-with` runs read, written to the working directory.
+# The system files the `--system` runs read, written to the working directory.
 FACTORS = {
     "z5-s2.json": translation_system(5, 1, (2, 0), (0, 0)),
     "z3-t1.json": translation_system(3, 1, (0, 0), (1, 0)),
     "z4-s1.json": translation_system(4, 1, (1, 0), (0, 0)),
     "z6-t5.json": translation_system(6, 1, (0, 0), (5, 0)),
+    "z12-s1-t3.json": translation_system(12, 1, (1, 0), (3, 0)),
 }
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_reports.json")).read_text())

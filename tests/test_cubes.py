@@ -13,6 +13,7 @@ from ergocubes.cubes import (
     empirical_unique_ergodicity,
     product_cube_identification,
     two_sided_cube,
+    uniform_cube_deviation,
 )
 from ergocubes.finite import (
     FiniteMPS,
@@ -323,9 +324,9 @@ class TestEmpiricalUniqueErgodicity:
                     assert row.value == tv
 
     def test_all_starts_on_cube_spaces_match_literal_enumeration(self):
-        # The engine evaluates one start per joint orbit when the reference is
-        # invariant (uniform, or constant on each orbit) and every start when
-        # it is not (skewed); the literal walk visits every start every time.
+        # The engine walks every start's box under each reference, invariant
+        # (uniform, or constant on each orbit) or not (skewed), and so does
+        # the literal walk.
         transitive = 0
         for sys in corpus("cubes", 239, 5):
             space = cube_space(sys)
@@ -381,6 +382,29 @@ class TestEmpiricalUniqueErgodicity:
             empirical_unique_ergodicity([(1, 0)], ref, [0], [2, 2])
         with pytest.raises(ValueError, match="positive window sizes"):
             empirical_unique_ergodicity([(1, 0)], ref, [0], [0, 1])
+
+
+class TestUniformCubeDeviation:
+    def test_equals_the_engine_on_the_listed_cube_space(self):
+        # The engine takes the literal worst over the starts it is given.  It
+        # gets every start where the cube space has at most 100 quadruples and
+        # a seeded three beyond that: on every start its cost is quadratic in
+        # the cube space.
+        schedule = [1, 2, 3, 5, 7, 16, 31]
+        rng = Random(241)
+        systems = corpus("uniform-cubes", 241, 350)
+        everywhere = 0
+        for sys in systems:
+            space = cube_space(sys)
+            starts = "all" if space.size <= 100 else sorted({0, rng.randrange(space.size), space.size - 1})
+            everywhere += starts == "all"
+            report = empirical_unique_ergodicity(list(space.perms.values()), space.uniform_measure(), starts, schedule)
+            assert [uniform_cube_deviation(sys, N) for N in schedule] == [row.value for row in report.rows], sys
+        assert len(systems) == 411 and everywhere == 291
+
+    def test_needs_an_ergodic_system(self):
+        with pytest.raises(PreconditionError, match="ergodic"):
+            uniform_cube_deviation(FiniteMPS(uniform(2), [0, 1], [0, 1]), 4)
 
 
 def ref3():
