@@ -1,16 +1,16 @@
-"""The references the tests check the program against, and the seeded inputs
-they draw.
+"""The references the tests check the program against, and the systems they
+run them on: every orbit type Z^2 / L of small index (`lattices`) and every
+small union of them (`lattice_unions`).
 
 Every reference here is an older route or a literal loop: a walk one step at
 a time, a brute-force search, a listed measure.  They are the spec, and they
-stay independent of what they check: `tests/test_hygiene.py` allows this
-module only a short list of imports from ergocubes, and forbids each
+stay independent of what they check: `tests/test_hygiene.py` holds the
+exact list of names this module imports from ergocubes, and forbids each
 reference to reach the program name it checks.
 """
 
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from itertools import chain, combinations_with_replacement, product, starmap
 from random import Random
 from typing import NamedTuple, Tuple
 
@@ -19,17 +19,10 @@ from ergocubes.core import Observable, PreconditionError
 from ergocubes.finite import (
     FiniteMPS,
     FreenessResult,
-    diagonal_grid,
     ergodic_decomposition,
     is_ergodic,
     partition_s,
     partition_t,
-    product_grid,
-    random_ergodic_system,
-    random_product_system,
-    random_system,
-    translation_system,
-    z4_diagonal,
 )
 from ergocubes.joinings import (
     S_STAR,
@@ -38,10 +31,8 @@ from ergocubes.joinings import (
     ExtensionConstructionError,
     MagicExtension,
     cond_exp,
-    host_measure,
     invariant_w,
     is_magic,
-    magic_extension,
     rel_indep_square,
 )
 
@@ -59,6 +50,17 @@ def literal_cycle(perm, x):
 
 def literal_cycle_length(perm, x):
     return len(literal_cycle(perm, x))
+
+
+def literal_stabilizer(sys, x):
+    """(p, q, r) with {(i, j) : S^i T^j x = x} = {(i, j) : p | i, j = (i/p) q
+    mod r}, walked one step at a time: r is the length of the T-cycle x, T x,
+    ..., p the least i >= 1 with S^i x on it, and S^p x = T^-q x."""
+    cycle = literal_cycle(sys.T, x)
+    p, y = 1, sys.S[x]
+    while y not in cycle:
+        p, y = p + 1, sys.S[y]
+    return p, -cycle.index(y) % len(cycle), len(cycle)
 
 
 def literal_apply(sys, i, j, x):
@@ -153,15 +155,26 @@ def closure_orbits(sys):
     return orbits
 
 
+def listed_mu_st(sys):
+    """mu_{S,T} listed quadruple by quadruple, {p + q: mass}: mu_S(p) mu_S(q) /
+    mu_S(C) on C x C for each (T x T)-orbit C of `closure_orbits`, with mu_S
+    read off `rel_indep_square`."""
+    mu_s = rel_indep_square(sys).entries
+    listed = {}
+    for orbit in closure_orbits(sys):
+        mass = sum(mu_s[p] for p in orbit)
+        listed.update({p + q: mu_s[p] * mu_s[q] / mass for p in orbit for q in orbit})
+    return listed
+
+
 def measurable_by_spread(sys):
     """The measurability check by spreading each orbit's Fraction masses over
     W-block products: the reference for the counting `measurability_check`."""
-    hm = host_measure(sys)
     w_part = invariant_w(sys)
     w_blocks = w_part.blocks()
     w_mass = [sum((sys.weights[x] for x in block), F(0)) for block in w_blocks]
     mu_s = rel_indep_square(sys).entries
-    for orbit in hm.orbits:
+    for orbit in closure_orbits(sys):
         spread = {}
         for (a, b) in orbit:
             w_ab = mu_s[(a, b)]
@@ -192,10 +205,10 @@ def magic_extension_by_decomposition(sys):
     """
     if not is_ergodic(sys):
         raise PreconditionError("magic_extension requires an ergodic base system")
-    hm = host_measure(sys)
-    quads = sorted(hm.mu_st.entries)
+    mu_st = listed_mu_st(sys)
+    quads = sorted(mu_st)
     index = {q: k for k, q in enumerate(quads)}
-    weights = [hm.mu_st.entries[q] for q in quads]
+    weights = [mu_st[q] for q in quads]
     s_perm = [index[tuple(sys.apply(g, x) for g, x in zip(S_STAR, q))] for q in quads]
     t_perm = [index[tuple(sys.apply(g, x) for g, x in zip(T_STAR, q))] for q in quads]
     big = FiniteMPS(weights, s_perm, t_perm)
@@ -353,117 +366,51 @@ def draws(k):
     return [random_observable] * k + [mixed_observable] * k
 
 
-def _alternating(rng, count, max_components):
-    systems = []
-    for _ in range(count):
-        systems.append(random_system(rng, max_order=3, max_components=max_components))
-        systems.append(random_ergodic_system(rng, max_order=3))
-    return systems
+def _types(n_max):
+    """Every (p, q, r) with p r <= n_max and 0 <= q < r: by index p r, then p, then q."""
+    return [(p, q, n // p) for n in range(1, n_max + 1) for p in range(1, n + 1) if n % p == 0 for q in range(n // p)]
 
 
-def _extensions(systems):
-    return [magic_extension(sys).system for sys in systems if is_ergodic(sys)]
+def lattice_system(p, q, r):
+    """The orbit type Z^2 / L, L = {(i, j) : p | i, j = (i/p) q mod r} with
+    0 <= q < r: the points (i, j), i < p, j < r, at i r + j, uniformly
+    weighted.  T adds 1 to j mod r; S adds 1 to i and wraps from i = p - 1 to
+    (0, j - q mod r), so S^p = T^-q.  Every joint orbit of two commuting
+    permutations is one of these, relabeled."""
+    n = p * r
+    S = [x + r if x < n - r else (x - q) % r for x in range(n)]
+    return FiniteMPS([F(1, n)] * n, S, [x - x % r + (x + 1) % r for x in range(n)])
 
 
-def _cyclic(limit):
-    """Z_n with S = +1 and T = +t, for every t < n < limit."""
-    return [translation_system(n, 1, (1, 0), (t, 0)) for n in range(1, limit) for t in range(n)]
+def _relabeled(rng, weights, S, T):
+    """The system with each point x moved to sigma(x), sigma a seeded permutation."""
+    sigma = rng.sample(range(len(S)), len(S))
+    inverse = sorted(range(len(S)), key=sigma.__getitem__)
+    return FiniteMPS([weights[x] for x in inverse], [sigma[S[x]] for x in inverse], [sigma[T[x]] for x in inverse])
 
 
-def _grids(limit):
-    return [grid(a, b) for grid in (product_grid, diagonal_grid) for a in range(1, limit) for b in range(1, limit)]
+def lattices(n_max):
+    """Every orbit type of index at most n_max, in `_types` order, each relabeled
+    by a permutation from one seeded stream (so `lattices(m)` is a prefix of
+    `lattices(n)` for m <= n): 127 types up to 12, 220 up to 16, 491 up to 24."""
+    rng = Random(0)
+    return tuple(_relabeled(rng, sys.weights, sys.S, sys.T) for sys in starmap(lattice_system, _types(n_max)))
 
 
-def _disjoint_union(pieces):
-    """The pieces side by side, each point weighted 1/n."""
-    S, T = [], []
-    for piece in pieces:
-        S += [len(S) + y for y in piece.S]
-        T += [len(T) + y for y in piece.T]
-    return FiniteMPS([F(1, len(S))] * len(S), S, T)
-
-
-def _freeness(rng):
-    systems = [random_system(rng, max_order=4, max_components=3) for _ in range(400)]
-    systems += [random_ergodic_system(rng) for _ in range(150)]
-    systems += [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(15)]
-    systems += _cyclic(9)
-    systems += [grid(a, b) for a in range(1, 5) for b in range(1, 5) for grid in (product_grid, diagonal_grid)]
-    for _ in range(500):
-        pieces = []
-        for _ in range(rng.randint(1, 4)):
-            a, b = rng.randint(1, 6), rng.randint(1, 6)
-            s = (rng.randrange(a), rng.randrange(b))
-            t = (rng.randrange(a), rng.randrange(b))
-            pieces.append(translation_system(a, b, s, t))
-        systems.append(_disjoint_union(pieces))
-    return systems
-
-
-def _bases(rng, count):
-    systems = [random_ergodic_system(rng, max_order=3) for _ in range(count)]
-    return systems + _cyclic(7) + _grids(4) + [z4_diagonal(), FiniteMPS([F(1)], [0], [0])]
-
-
-def _uniform_cubes(rng, count):
-    systems = _grids(6) + [random_ergodic_system(rng, max_order=2 + k % 4) for k in range(count)]
-    return systems + [translation_system(n, 1, (1, 0), (3 % n, 0)) for n in range(2, 13)]
-
-
-def _cube_report(rng):
-    systems = [random_system(rng, max_order=4, max_components=3) for _ in range(12)]
-    candidates = [random_system(rng, max_order=3, max_components=3) for _ in range(60)]
-    systems += [s for s in candidates if not is_ergodic(s) and len(set(s.weights)) > 1][:8]
-    return systems + [magic_extension(random_ergodic_system(rng, max_order=3)).system for _ in range(4)]
-
-
-def _decompose(rng, count):
-    systems = []
-    for _ in range(count):
-        systems.append(random_product_system(rng))
-        systems.append(random_system(rng, max_order=3))
-        systems.append(magic_extension(random_ergodic_system(rng, max_order=3)).system)
-    return systems
-
-
-@cache
-def _pair_layer(seed, count):
-    rng = Random(seed)
-    systems = _alternating(rng, count, 3)
-    systems += _extensions(systems[:60])
-    systems += _grids(5) + _cyclic(13)
-    systems += [
-        translation_system(a, b, (1, 1), (i, j)) for a in (2, 3) for b in (2, 3) for i in range(a) for j in range(b)
-    ]
+def lattice_unions(m):
+    """Every disjoint union of two or three orbit types (a type may repeat) of
+    total index at most m, under uniform point weights and under the orbit
+    masses k : k - 1 : ... : 1 in `_types` order, each relabeled by a permutation from one
+    seeded stream: 916 systems at m = 8, 7,684 at m = 12."""
+    rng, systems, types = Random(1), [], _types(m)
+    built = dict(zip(types, starmap(lattice_system, types)))
+    for pieces in chain(*(combinations_with_replacement(types, k) for k in (2, 3))):
+        sizes = [p * r for p, _, r in pieces]
+        if sum(sizes) <= m:
+            S, T = [], []
+            for sys in map(built.get, pieces):
+                S, T = S + [len(S) + y for y in sys.S], T + [len(T) + y for y in sys.T]
+            k = len(pieces)
+            skewed = [F(k - c, k * (k + 1) // 2 * size) for c, size in enumerate(sizes) for _ in range(size)]
+            systems += [_relabeled(rng, weights, S, T) for weights in ([F(1, len(S))] * len(S), skewed)]
     return tuple(systems)
-
-
-_FAMILIES = {
-    "cubes": lambda rng, count: _alternating(rng, count, 2),
-    "mixed": lambda rng, count: _alternating(rng, count, 3),
-    "freeness": _freeness,
-    "bases": _bases,
-    "cube-report": _cube_report,
-    "uniform-cubes": _uniform_cubes,
-    "decompose": _decompose,
-}
-
-
-def corpus(family, seed, *count, extended=False):
-    """The seeded systems of `family`, in draw order, as a tuple: "cubes" and
-    "mixed" draw `count` random systems (up to 2 or 3 components), each
-    followed by an ergodic one; "pair-layer" is "mixed" with extensions,
-    grids and translations, built once per seed and count; "freeness",
-    "bases" (`count` ergodic draws, then stock systems), "cube-report" and
-    "decompose" (`count` times a product system, a random system and a
-    magic-extension fiber) are the inputs of the freeness, extension,
-    `cube` report and decomposition tests; "uniform-cubes" (the grids up to
-    5 x 5, `count` ergodic draws with max_order cycling through 2..5,
-    Z_2..Z_12 with S = +1 and T = +3) is the input of the closed-form cube
-    deviation test.
-    `seed` is an int, or a `Random` whose draws the caller goes on using;
-    `extended` appends the magic extension of each ergodic system."""
-    if family == "pair-layer":
-        return _pair_layer(seed, *count)
-    systems = _FAMILIES[family](seed if isinstance(seed, Random) else Random(seed), *count)
-    return tuple(systems + _extensions(systems) if extended else systems)

@@ -40,8 +40,9 @@ from ergocubes.joinings import host_measure, host_seminorm
 from ergocubes.cli import main
 from ergocubes.verify import exhaustive_bound_sweep, find_bound_constant, verify_decomposition
 from oracles import (
-    corpus,
     draws,
+    lattice_unions,
+    lattices,
     literal_birkhoff,
     literal_box_hits,
     literal_cycle_length,
@@ -419,36 +420,37 @@ class TestDecomposition:
             count += 1
 
     def test_matches_the_three_track_route_seeded(self):
+        # one draw of observables and start on each system the routes refuse, 22 on
+        # each they accept: the 12 magic free types of index <= 12 and the 6 x 6 grid
         rng = Random(409)
         accepted = 0
-        systems = corpus("decompose", 401, 134)
-        assert len(systems) >= 400
-        for sys in systems:
-            fs = [mixed_observable(rng, sys.n) for _ in range(3)]
-            x = rng.randrange(sys.n)
-            period = math.lcm(*sys.orbit_grid(x)[:2])
-            schedule = sorted({1, max(1, period // 2), period, 2 * period})
-            outcomes = []
-            for route in (decompose_and_converge, three_track_decomposition):
-                try:
-                    outcomes.append(route(sys, *fs, x, schedule))
-                except PreconditionError as err:
-                    outcomes.append(str(err))
-            report, tracks = outcomes
-            if isinstance(report, str) or isinstance(tracks, str):
-                assert report == tracks, (sys, x, schedule)
-                continue
-            accepted += 1
-            # W is discrete on every system the route accepts: the mean-zero
-            # track and its S_N bound vanish, and the tracks add up exactly
-            assert tracks.exact_sum
-            for track in tracks.rows:
-                assert track.track_a + track.track_b == track.direct
-                assert track.track_b == 0 and track.sn_bound == 0
-            assert [(row.N, row.value, row.reference) for row in report.rows] == [
-                (track.N, track.direct, tracks.limit) for track in tracks.rows
-            ], (sys, x, schedule)
-        assert 0 < accepted < len(systems)
+        for sys in lattices(12) + lattice_unions(6) + (product_grid(6, 6),):
+            for _ in range(22):
+                fs = [mixed_observable(rng, sys.n) for _ in range(3)]
+                x = rng.randrange(sys.n)
+                period = math.lcm(*sys.orbit_grid(x)[:2])
+                schedule = sorted({1, max(1, period // 2), period, 2 * period})
+                outcomes = []
+                for route in (decompose_and_converge, three_track_decomposition):
+                    try:
+                        outcomes.append(route(sys, *fs, x, schedule))
+                    except PreconditionError as err:
+                        outcomes.append(str(err))
+                report, tracks = outcomes
+                if isinstance(report, str) or isinstance(tracks, str):
+                    assert report == tracks, (sys, x, schedule)
+                    break
+                accepted += 1
+                # W is discrete on every system the route accepts: the mean-zero
+                # track and its S_N bound vanish, and the tracks add up exactly
+                assert tracks.exact_sum
+                for track in tracks.rows:
+                    assert track.track_a + track.track_b == track.direct
+                    assert track.track_b == 0 and track.sn_bound == 0
+                assert [(row.N, row.value, row.reference) for row in report.rows] == [
+                    (track.N, track.direct, tracks.limit) for track in tracks.rows
+                ], (sys, x, schedule)
+        assert accepted == 13 * 22
 
     def test_one_cubic_average_per_window(self, monkeypatch):
         calls = []

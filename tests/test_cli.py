@@ -20,7 +20,7 @@ from ergocubes.finite import (
     z4_diagonal,
 )
 from ergocubes.joinings import MagicReport, host_measure
-from oracles import corpus
+from oracles import lattice_unions, lattices
 
 
 def run(capsys, *argv):
@@ -548,7 +548,7 @@ class TestCube:
     def test_pair_space_sizes_match_the_listed_pair_spaces(self, capsys, tmp_path):
         # every count line against the listed route: the cube space and its
         # orbits, supp mu_{S,T} as a set, and the two pair spaces
-        systems = corpus("cube-report", 17)
+        systems = lattices(9) + lattice_unions(6) + (product_grid(6, 6),)
         transitive = 0
         for k, system in enumerate(systems):
             space = cube_space(system)
@@ -565,7 +565,7 @@ class TestCube:
             )
             code, out, err = run(capsys, "cube", "--system", write_system(tmp_path / f"{k}.json", system))
             assert (code, out, err) == (0 if support else 2, expected, "")
-        assert len(systems) == 24 and 4 <= transitive <= 20
+        assert (len(systems), transitive) == (296, 70)
 
     def test_report_memory_follows_the_pair_support(self, capsys, tmp_path):
         # product_grid(40, 40): 64,000 pairs in supp mu_S but 2,560,000

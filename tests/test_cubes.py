@@ -29,7 +29,7 @@ from ergocubes.finite import (
     z4_diagonal,
 )
 from ergocubes.joinings import host_measure, rel_indep_square, rule_permutation
-from oracles import corpus, cycle_patterns, listed_pushforward, literal_box_hits, pair_tensor
+from oracles import cycle_patterns, lattice_unions, lattices, listed_mu_st, listed_pushforward, literal_box_hits, pair_tensor
 
 F = Fraction
 ID = GroupElement(0, 0)
@@ -73,9 +73,7 @@ class TestCubeSpace:
 
     def test_size_counts_the_listed_space(self):
         # `analyze` prints the quadruple support size sum |C|^2 as the cube space size
-        systems = corpus("cubes", 233, 15, extended=True)
-        assert len(systems) >= 30
-        for sys in systems:
+        for sys in lattices(9) + lattice_unions(6) + (product_grid(6, 6),):
             assert sum(len(orbit) ** 2 for orbit in host_measure(sys).orbits) == cube_space(sys).size
 
     def test_size_by_hand(self):
@@ -85,12 +83,12 @@ class TestCubeSpace:
         assert cube_space(sys).size == 108
 
     def test_orbit_built_support_matches_the_listed_quadruples(self):
-        for sys in corpus("cubes", 239, 5):
+        for sys in lattices(9) + lattice_unions(6):
             hm = host_measure(sys)
             support = hm.quadruple_support()
             assert support == set(cube_space(sys).points)
             assert "mu_st" not in vars(hm)
-            assert support == set(hm.mu_st.entries)
+            assert support == set(listed_mu_st(sys))
 
     def test_uniform_measure_matches_quadruple_measure_on_transitive_cubes(self):
         for sys in (z4_diagonal(), diagonal_grid(2, 3), product_grid(2, 3)):
@@ -177,10 +175,10 @@ class TestTransformPermutations:
     def test_cached_permutations_match_a_literal_apply_walk(self):
         # each transform's permutation against its rule applied point by point
         # through sys.apply: the cube space and the pair spaces of S, T and
-        # S^2 T^-1 on 30 seeded systems, 120 spaces, each listed without
-        # repeats and indexed in order
+        # S^2 T^-1 of every type of index <= 9 and every union of index <= 6,
+        # each listed without repeats and indexed in order
         spaces = 0
-        for sys in corpus("cubes", 241, 15):
+        for sys in lattices(9) + lattice_unions(6):
             pair_spaces = [(two_sided_cube(sys, g), pair_rules(g)) for g in (S_GEN, T_GEN, GroupElement(2, -1))]
             for space, rules in ((cube_space(sys), CUBE_RULES), *pair_spaces):
                 assert space.index_of == {point: k for k, point in enumerate(space.points)}
@@ -190,7 +188,7 @@ class TestTransformPermutations:
                     moved = [tuple(sys.apply(g, x) for g, x in zip(rule, point)) for point in space.points]
                     assert space.perms[name] == tuple(space.index_of[image] for image in moved)
                 spaces += 1
-        assert spaces >= 100
+        assert spaces == 4 * (69 + 226)
 
     def test_rule_permutation_rejects_a_rule_leaving_the_space(self):
         # (0, 0) moves to (0, 1) under the side rule, and (0, 1) to (0, 2),
@@ -326,10 +324,14 @@ class TestEmpiricalUniqueErgodicity:
     def test_all_starts_on_cube_spaces_match_literal_enumeration(self):
         # The engine walks every start's box under each reference, invariant
         # (uniform, or constant on each orbit) or not (skewed), and so does
-        # the literal walk.
-        transitive = 0
-        for sys in corpus("cubes", 239, 5):
+        # the literal walk, on each cube space of at most 100 quadruples over
+        # the types of index <= 6 and the unions of index <= 4.
+        walked = transitive = 0
+        for sys in lattices(6) + lattice_unions(4):
             space = cube_space(sys)
+            if space.size > 100:
+                continue
+            walked += 1
             perms = list(space.perms.values())
             m, d = space.size, len(perms)
             # the hits of g_d^{i_d} ... g_1^{i_1} x for every exponent tuple
@@ -342,8 +344,8 @@ class TestEmpiricalUniqueErgodicity:
                 "per-orbit": [orbit_of[p] + 1 for p in range(m)],
                 "skewed": [p + 1 for p in range(m)],
             }
-            if m > 1:
-                assert any(p != perm[p] for perm in perms for p in range(m))
+            # some transform moves a point exactly when a cube has more than one
+            assert any(p != perm[p] for perm in perms for p in range(m)) == (m > sys.n)
             for name, w in references.items():
                 ref = SparseMeasure(1, m, {(p,): F(v, sum(w)) for p, v in enumerate(w)})
                 if name == "uniform":
@@ -359,7 +361,7 @@ class TestEmpiricalUniqueErgodicity:
                         tv = F(sum(abs(hits.get(y, 0) * sum(w) - w[y] * volume) for y in range(m)), 2 * volume * sum(w))
                         worst = max(worst, tv)
                     assert row.value == worst, (sys, name, row.N)
-        assert 0 < transitive < 10
+        assert (walked, transitive) == (59, 23)
 
     def test_rejects_bad_inputs(self):
         ref = SparseMeasure(1, 2, {(0,): F(1, 2), (1,): F(1, 2)})
@@ -392,7 +394,7 @@ class TestUniformCubeDeviation:
         # the cube space.
         schedule = [1, 2, 3, 5, 7, 16, 31]
         rng = Random(241)
-        systems = corpus("uniform-cubes", 241, 350)
+        systems = lattices(12) + (product_grid(5, 5),)
         everywhere = 0
         for sys in systems:
             space = cube_space(sys)
@@ -400,7 +402,7 @@ class TestUniformCubeDeviation:
             everywhere += starts == "all"
             report = empirical_unique_ergodicity(list(space.perms.values()), space.uniform_measure(), starts, schedule)
             assert [uniform_cube_deviation(sys, N) for N in schedule] == [row.value for row in report.rows], sys
-        assert len(systems) == 411 and everywhere == 291
+        assert (len(systems), everywhere) == (128, 36)
 
     def test_needs_an_ergodic_system(self):
         with pytest.raises(PreconditionError, match="ergodic"):

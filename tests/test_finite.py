@@ -33,7 +33,7 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from oracles import corpus, is_free_brute, literal_apply, literal_cycle_length
+from oracles import is_free_brute, lattice_unions, lattices, literal_apply, literal_cycle_length
 
 QUARTER = Fraction(1, 4)
 
@@ -208,15 +208,15 @@ def _cycles_system(lengths):
 
 class TestFreeness:
     def test_equals_brute_force_reference(self):
-        systems = corpus("freeness", 61)
-        assert len(systems) >= 1000
+        # every orbit type of index <= 24, every union of two or three types
+        # of total index <= 12, and the 6 x 6 product grid
+        systems = lattices(24) + lattice_unions(12) + (product_grid(6, 6),)
         not_free = 0
         for sys in systems:
             expected = is_free_brute(sys)
             assert is_free(sys) == expected, (sys.S, sys.T)
             not_free += not expected.free
-        # both verdicts are well represented
-        assert 200 <= not_free <= len(systems) - 200
+        assert (len(systems), not_free) == (8176, 5656)
 
     def test_no_table_sized_by_the_order(self):
         sys = _cycles_system((2, 3, 5, 7, 11, 13))   # order 30,030 on 41 points

@@ -7,6 +7,7 @@ definition of the quadruple measure on a single cycle (see
 test_z4_seminorm_matches_autocorrelation_route).
 """
 
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 
 from ergocubes import joinings
 from ergocubes.averaging import AVERAGE_KINDS, AverageSpec, run_average
-from ergocubes.core import Observable, PreconditionError, integrate, marginal
+from ergocubes.core import Observable, PreconditionError, SparseMeasure, integrate, marginal
 from ergocubes.finite import (
     FiniteMPS,
     diagonal_grid,
@@ -48,8 +49,10 @@ import oracles
 from oracles import (
     autocorrelation_fourth_power,
     closure_orbits,
-    corpus,
     cycle_patterns,
+    lattice_unions,
+    lattices,
+    listed_mu_st,
     magic_extension_by_decomposition,
     measurable_by_spread,
     mixed_observable,
@@ -127,16 +130,16 @@ class TestQuadrupleMeasure:
                 assert pushed == hm.mu_st.entries
 
     def test_host_integral_matches_materialized_integrate(self, monkeypatch):
-        # the factored integral against the literal sum over every quadruple,
-        # with signed observables whose denominators differ
+        # the factored integral against the literal sum over every listed
+        # quadruple, with signed observables whose denominators differ
         rng = Random(157)
         cases = []
-        for sys in corpus("mixed", rng, 15, extended=True):
-            hm = host_measure(sys)
+        for sys in lattices(12) + lattice_unions(7) + (product_grid(6, 6),):
             fs = [mixed_observable(rng, sys.n) for _ in range(4)]
-            assert host_integral(hm, fs) == integrate(hm.mu_st, fs)
-            cases.append((sys, hm, fs))
-        assert len(cases) >= 30
+            listed = integrate(SparseMeasure(4, sys.n, listed_mu_st(sys)), fs)
+            assert host_integral(host_measure(sys), fs) == listed
+            cases.append((sys, fs, listed))
+        assert len(cases) == 592
 
         def largest_denominator(values):
             values = list(values)
@@ -152,7 +155,7 @@ class TestQuadrupleMeasure:
                 return None
 
         monkeypatch.setattr(joinings, "common_denominator", largest_denominator)
-        assert any(mutated(sys, fs) != integrate(hm.mu_st, fs) for sys, hm, fs in cases)
+        assert any(mutated(sys, fs) != listed for sys, fs, listed in cases)
 
 
 class TestSeminorm:
@@ -277,7 +280,7 @@ class TestMagic:
     def test_box_seminorm_is_a_norm_seeded(self):
         # every weight is positive, so the diagonal orbit of each point gives
         # every indicator a positive seminorm and the seminorm kernel is {0}
-        for sys in corpus("mixed", 151, 10, extended=True):
+        for sys in lattices(8) + lattice_unions(4) + (product_grid(3, 6),):
             hm = host_measure(sys)
             for x in range(sys.n):
                 assert host_seminorm(hm, Observable.indicator(sys.n, x)).fourth_power > 0
@@ -367,8 +370,8 @@ class TestMagicExtension:
 
         monkeypatch.setattr(joinings, "is_magic", decide_once)
         monkeypatch.setattr(oracles, "is_magic", decide_once)
-        bases = corpus("bases", 163, 165)
-        assert len(bases) >= 200
+        bases = [sys for sys in lattices(12) if math.prod(sys.orbit_grid(0)[:2]) <= 36]
+        assert len(bases) == 77
         for sys in bases:
             ext, ref = magic_extension(sys), magic_extension_by_decomposition(sys)
             assert (ext.system, ext.quadruples, ext.factor, ext.mass) == (ref.system, ref.quadruples, ref.factor, ref.mass)
@@ -387,17 +390,17 @@ class TestMagicExtension:
 
 class TestPairLayer:
     def test_orbits_are_the_closure_of_the_pair_support(self):
-        for sys in corpus("pair-layer", 20261018, 230):
+        for sys in lattices(24) + lattice_unions(8) + (product_grid(6, 6),):
             hm = host_measure(sys)
             orbits = {frozenset(orbit) for orbit in hm.orbits}
             assert len(orbits) == len(hm.orbits) and orbits == closure_orbits(sys)
             assert all(len(orbit) == len(set(orbit)) for orbit in hm.orbits)
 
     def test_measurability_matches_the_spread_check(self):
-        systems = corpus("pair-layer", 20261018, 230)
+        systems = lattices(16) + lattice_unions(7) + (product_grid(6, 6),)
         verdicts = [measurability_check(sys) for sys in systems]
         assert verdicts == [measurable_by_spread(sys) for sys in systems]
-        assert len(systems) >= 600 and verdicts.count(False) >= 300
+        assert (len(systems), verdicts.count(False)) == (685, 482)
 
     def test_integrals_and_verdicts_leave_the_measures_unlisted(self):
         sys = translation_system(6, 2, (1, 0), (2, 1))
