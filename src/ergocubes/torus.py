@@ -100,8 +100,12 @@ class TrigPoly:
 
     @property
     def sup_bound(self) -> float:
-        """sum |c_n|, an upper bound for the sup norm."""
-        return math.fsum(abs(c) for c in self.coeffs.values())
+        """sum |c_n|, an upper bound for the sup norm; inf when that sum is
+        past float range."""
+        try:
+            return math.fsum(abs(c) for c in self.coeffs.values())
+        except OverflowError:
+            return math.inf
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         merged = dict(self.coeffs)
@@ -168,7 +172,10 @@ def fourier_cubic_limit(system: TorusSystem, f1: TrigPoly, f2: TrigPoly, f3: Tri
     for n in sorted(f1.coeffs):
         c = f1.coeff(n) * f2.coeff(n) * f3.coeff(-n)
         if c != 0:
-            angle = 2.0 * math.pi * n * x
+            try:
+                angle = 2.0 * math.pi * n * x
+            except OverflowError:
+                raise ValueError(f"cubic limit: a frequency of {n.bit_length()} bits is past float range") from None
             terms.append(c.real * math.cos(angle) - c.imag * math.sin(angle))
     return math.fsum(terms)
 
@@ -235,6 +242,44 @@ def _check_torus_args(kind: str, observables: Sequence[TrigPoly], N: int):
         raise ValueError("observables too large: twice the product of their sup bounds overflows a float")
 
 
+def _frequency_table(system: TorusSystem, kind: str, observables: Sequence[TrigPoly], x):
+    """The part of a window average that does not depend on N, built once
+    per report.  Each frequency tuple n of the expanded box sum (see _BOXES)
+    becomes a row (e(M x) c(n), factors): the start phase times the
+    coefficients, multiplied left to right, and the positions in `means` of
+    the geometric means it is multiplied by next, in _BOXES order.  `means`
+    lists the arguments of _mean_phase, one per distinct multiple of alpha
+    and of beta."""
+    polys = list(observables) * 4 if kind == "windowed_sn" else observables
+    pa, qa = system.alpha.as_integer_ratio()
+    pb, qb = system.beta.as_integer_ratio()
+    px, qx = as_fraction(x).as_integer_ratio()
+    phase = functools.cache(lambda m: _e(m * px, qx))
+    slots: Dict[tuple, int] = {}
+    rows = []
+    for items in itertools.product(*(sorted(f.coeffs.items()) for f in polys)):
+        ns = [n for n, _ in items]
+        along_a, along_b = _BOXES[kind](*ns)
+        keys = [(k * pa, qa) for k in along_a] + [(k * pb, qb) for k in along_b]
+        factors = tuple(slots.setdefault(key, len(slots)) for key in keys)
+        rows.append((math.prod([c for _, c in items], start=phase(sum(ns))), factors))
+    return rows, list(slots)
+
+
+def _window_average(table, kind: str, N: int) -> float:
+    """One window average from a frequency table: each geometric mean once,
+    then each row's prefix times its means in order, summed exactly."""
+    rows, means = table
+    values = [_mean_phase(p, q, N) for p, q in means]
+    terms = []
+    for term, factors in rows:
+        for i in factors:
+            term *= values[i]
+        terms.append(term.real)
+    value = math.fsum(terms)
+    return abs(value) if kind == "windowed_sn" else value
+
+
 def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly], x, N: int) -> float:
     """Evaluate one window average at size N in closed form.
 
@@ -249,21 +294,7 @@ def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly
     float.
     """
     _check_torus_args(kind, observables, N)
-    polys = list(observables) * 4 if kind == "windowed_sn" else observables
-    pa, qa = system.alpha.as_integer_ratio()
-    pb, qb = system.beta.as_integer_ratio()
-    px, qx = as_fraction(x).as_integer_ratio()
-    mean_a = functools.cache(lambda k: _mean_phase(k * pa, qa, N))
-    mean_b = functools.cache(lambda k: _mean_phase(k * pb, qb, N))
-    phase = functools.cache(lambda m: _e(m * px, qx))
-    terms = []
-    for items in itertools.product(*(sorted(f.coeffs.items()) for f in polys)):
-        ns = [n for n, _ in items]
-        along_a, along_b = _BOXES[kind](*ns)
-        factors = [c for _, c in items] + [mean_a(k) for k in along_a] + [mean_b(k) for k in along_b]
-        terms.append(math.prod(factors, start=phase(sum(ns))).real)
-    value = math.fsum(terms)
-    return abs(value) if kind == "windowed_sn" else value
+    return _window_average(_frequency_table(system, kind, observables, x), kind, N)
 
 
 def torus_average_naive(system: TorusSystem, kind: str, observables: Sequence[TrigPoly], x, N: int) -> float:
@@ -335,4 +366,5 @@ def torus_report(
         else:
             reference = observables[0].coeff(0).real
     metadata = {"kind": kind, "start": str(as_fraction(x) % 1), "alpha": str(system.alpha), "beta": str(system.beta)}
-    return schedule_report(schedule, lambda N: torus_average(system, kind, observables, x, N), reference, metadata)
+    table = _frequency_table(system, kind, observables, x)
+    return schedule_report(schedule, lambda N: _window_average(table, kind, N), reference, metadata)

@@ -333,6 +333,23 @@ class TestAverage:
             assert code == 1 and out == "", kind
             assert err.count("\n") == 1 and err.startswith("error: ") and "overflows" in err, kind
 
+    def test_trig_rejects_coefficients_whose_sup_bound_overflows(self, capsys):
+        # 1e308 + 1e308 is past float range before any product is taken
+        code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "cubic",
+                             "--trig=1:1e308:0", "--schedule", "1,2")
+        assert code == 1 and out == ""
+        assert err == "error: observables too large: twice the product of their sup bounds overflows a float\n"
+
+    def test_cubic_limit_refuses_a_frequency_past_float_range(self, capsys):
+        trig = f"--trig={10**320}:0.5:0"
+        code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "cubic",
+                             trig, trig, trig, "--schedule", "1,2", "--start", "1/3")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "past float range" in err
+        code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "birkhoff_1d",
+                             trig, "--schedule", "1,2", "--start", "1/3")
+        assert code == 0 and err == ""
+
     def test_finite_start_outside_the_system(self, capsys):
         for kind in ("birkhoff_1d", "birkhoff_2d"):
             for start in ("9", "-1"):

@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ergocubes.averaging import AVERAGE_KINDS
 from ergocubes.cli import main
 from ergocubes.finite import system_to_dict, translation_system
 
@@ -57,7 +58,8 @@ def documents(draw):
 
 values = {
     "--observable": st.sampled_from(["1,0,-1,0", "1,-1", "1,0,0", "1/2,x", "1/0,1", "", "-1/2,0,0,0", "1,1,1,1,1,1"]),
-    "--trig": st.sampled_from(["1:0.5:0", "1:0.5", "-1:1:0", "0:1:1", "1:nan:0", ";", "x:y:z", "1:1e200:0"]),
+    "--trig": st.sampled_from(["1:0.5:0", "1:0.5", "-1:1:0", "0:1:1", "1:nan:0", ";", "x:y:z", "1:1e200:0", "1:1e308:0",
+                               f"{10**320}:0.5:0"]),
     "--start": st.sampled_from(["0", "1", "-1", "9", "x", "1/3", "1/0"]),
     "--schedule": st.sampled_from(["4", "1,2", "8,4", "0,4", "4,4", "pow2:1..3", "pow2:3..1", "pow2:x..2", "pow2:2",
                                    "a,b", "", "-1"]),
@@ -131,6 +133,17 @@ def extreme_windows(draw):
     return ["average", "--builtin", builtin, "--kind", kind, "--schedule", schedule] + OBSERVABLES[builtin], {}
 
 
+@st.composite
+def extreme_observables(draw):
+    """Every torus kind with one --trig term per observable it needs: the
+    same term each time, so that products of coefficients at one frequency,
+    like the cubic limit's c1(n) c2(n) c3(-n), are nonzero."""
+    kind = draw(st.sampled_from(sorted(AVERAGE_KINDS)))
+    term = draw(values["--trig"])
+    argv = ["average", "--builtin", "torus-sqrt23", "--kind", kind, "--schedule", "1,2", "--start", "1/3"]
+    return argv + [f"--trig={term}"] * AVERAGE_KINDS[kind], {}
+
+
 @settings(derandomize=True, database=None, max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
@@ -141,6 +154,12 @@ def test_every_input_gets_an_exit_code_and_at_most_one_error_line(invocation):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(extreme_windows())
 def test_extreme_windows_get_an_exit_code_and_at_most_one_error_line(invocation):
+    check_exit(*invocation)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(extreme_observables())
+def test_extreme_observables_get_an_exit_code_and_at_most_one_error_line(invocation):
     check_exit(*invocation)
 
 

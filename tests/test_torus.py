@@ -117,6 +117,10 @@ class TestTrigPoly:
         assert abs(poly.sup_bound - 3.0) < 1e-12
         assert TrigPoly.constant(-4.0).sup_bound == 4.0
 
+    def test_sup_bound_past_float_range_is_inf(self):
+        assert TrigPoly({1: 1e308, -1: 1e308}).sup_bound == math.inf
+        assert TrigPoly({1: complex(1e308, 1e308), -1: complex(1e308, -1e308)}).sup_bound == math.inf
+
     def test_zero_coefficients_dropped(self):
         poly = TrigPoly.cosine(1) + TrigPoly.cosine(1, -1.0)
         assert poly.coeffs == {}
@@ -146,6 +150,15 @@ class TestAnalyticOracles:
         for x in (0.0, 0.1, 0.3, 0.7):
             expected = math.sin(2 * math.pi * x) / 4
             assert abs(fourier_cubic_limit(sys, sin1, sin1, sin1, F(x).limit_denominator(10**6)) - expected) < 1e-9
+
+    def test_cubic_limit_refuses_frequencies_past_float_range(self):
+        sys = sqrt23_system()
+        huge = TrigPoly.cosine(10**320)
+        with pytest.raises(ValueError, match="frequency of 1064 bits is past float range"):
+            fourier_cubic_limit(sys, huge, huge, huge, F(1, 3))
+        # only frequencies whose coefficient product is nonzero are rounded
+        cos1 = TrigPoly.cosine(1)
+        assert fourier_cubic_limit(sys, huge + cos1, cos1, cos1, 0) == fourier_cubic_limit(sys, cos1, cos1, cos1, 0)
 
     def test_oracles_require_generic_declaration(self):
         rational = TorusSystem(F(1, 3), F(1, 5))
@@ -360,6 +373,43 @@ def test_geometric_means_do_not_grow_with_the_window(monkeypatch):
             assert calls and set(calls) == {N}
             counts.append(len(calls))
         assert counts[0] == counts[1], kind
+
+
+def test_report_rows_are_the_window_averages_bit_for_bit():
+    # the report builds its frequency table once; each row must still be
+    # the float that torus_average computes for that window alone
+    rng = Random(467)
+    systems = (sqrt23_system(), TorusSystem(F(1, 3), F(2, 7)), TorusSystem(F(5, 12), F(5, 12)))
+    for kind, arity in AVERAGE_KINDS.items():
+        for degree in range(4):
+            sys = rng.choice(systems)
+            obs = [random_poly(rng, max_freq=degree) for _ in range(arity)]
+            x = F(rng.randrange(10**6), rng.randrange(10**5, 10**6))
+            schedule = sorted({2**k for k in range(0, 61, 1 if degree < 2 else 6)} | {rng.randrange(1, 2**61) | 1 for _ in range(3)})
+            report = torus_report(sys, kind, obs, x, schedule)
+            for row in report.rows:
+                assert row.value == torus_average(sys, kind, obs, x, row.N), (kind, degree, row.N)
+
+
+def test_coefficient_products_are_built_once_per_report(monkeypatch):
+    prefixes = []
+    frequency_table = torus._frequency_table
+
+    def counted(*args):
+        table = frequency_table(*args)
+        prefixes.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(torus, "_frequency_table", counted)
+    rng = Random(463)
+    for kind, arity in AVERAGE_KINDS.items():
+        obs = [random_poly(rng, max_freq=2) for _ in range(arity)]
+        counts = []
+        for schedule in ([2**60], [2**k for k in range(61)]):
+            prefixes.clear()
+            torus_report(sqrt23_system(), kind, obs, F(5, 7), schedule)
+            counts.append(sum(prefixes))
+        assert counts[0] == counts[1] == 5 ** (4 if kind == "windowed_sn" else arity), kind
 
 
 def mp_value(f, theta):
