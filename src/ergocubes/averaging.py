@@ -10,11 +10,17 @@ to a residue-weighted sum whose cost does not grow with N.  The sums are
 taken in integers: each observable is scaled once, on first use, to integer
 numerators over one common denominator (`Observable.scaled`), and each
 returned value is the one `Fraction` of the integer sum over the window
-volume times those denominators.  The S_N sum (`sn_sum`) and the cubic row
-sums (`cubic_rows`) are shared with the exhaustive bound sweep.  Point-mass
-box averages, Birkhoff's here and the empirical engine's in `cubes`, count
-hits with `box_hits`; every per-N result, the decomposition's included, is
-a `ConvergenceReport` from `schedule_report`.
+volume times those denominators.  The linear kinds, the cubic average and
+the Birkhoff averages along S and along (S, T), weight one integer grid by
+the counts in i and in j, so `_linear_table` builds the grid's prefix sums
+once per report and reads each window from four of them; `run_average`,
+`cubic_average` and `decompose_and_converge` all evaluate it.  The
+quadratic kinds (`fourfold_average`, `windowed_sn`) keep a per-window
+kernel, and the S_N sum (`sn_sum`) is shared with the exhaustive bound
+sweep.  Point-mass box averages along arbitrary generators,
+`birkhoff_average` here and the empirical engine in `cubes`, count hits
+with `box_hits`; every per-N result, the decomposition's included, is a
+`ConvergenceReport` from `schedule_report`.
 Literal-loop references (`*_naive`) are kept for equality testing.
 """
 
@@ -26,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -39,8 +45,6 @@ from .core import (
 from .finite import (
     FiniteMPS,
     GroupElement,
-    S_GEN,
-    T_GEN,
     is_ergodic,
     is_free,
     partition_s,
@@ -154,14 +158,6 @@ def _check_average_args(sys: FiniteMPS, observables: Sequence[Observable], x: in
             raise DimensionError(f"observable on {f.n} points vs system on {sys.n}")
 
 
-def cubic_rows(cs: Sequence[int], ct: Sequence[int], g2: Sequence[int], F3: Sequence[Sequence[int]]) -> List[int]:
-    """The S-residue terms cs[r] sum_s ct[s] g2[s] F3[r][s] of the cubic sum;
-    pairing them with f1 on the S-cycle, sum_r g1[r] rows[r], gives N^2
-    times the cubic average."""
-    weights = [t * v for t, v in zip(ct, g2)]
-    return [c * sum(map(mul, weights, row)) for c, row in zip(cs, F3)]
-
-
 def sn_sum(cs: Sequence[int], ct: Sequence[int], F: Sequence[Sequence[int]]) -> int:
     """N^4 S_N over a grid of integer values: sum_{r,r'} cs[r] cs[r'] corr(r, r')^2
     with corr(r, r') = sum_s ct[s] F[r][s] F[r'][s].  corr is symmetric, so
@@ -174,15 +170,52 @@ def sn_sum(cs: Sequence[int], ct: Sequence[int], F: Sequence[Sequence[int]]) -> 
     return total
 
 
+def _linear_table(sys: FiniteMPS, kind: str, observables: Sequence[Observable], x: int) -> Callable[[int], Fraction]:
+    """The window average of a linear kind (cubic, birkhoff_1d, birkhoff_2d)
+    as a function of N, from one table built per report.
+
+    Each is sum_{r,s} cs[r] ct[s] K[r][s] over the orbit grid, with integer
+    K[r][s] = f1(S^r x) f2(T^s x) f3(S^r T^s x) for cubic and f(S^r T^s x)
+    for birkhoff_2d; birkhoff_1d is the sum over r alone of f(S^r x).  With
+    (q, rho) = divmod(N, a), cs[r] = q + [r < rho], and likewise ct in b, so
+    from the prefix sums P[m][n] = sum_{r<m, s<n} K[r][s] the window total is
+    q_a q_b P[a][b] + q_a P[a][rho_b] + q_b P[rho_a][b] + P[rho_a][rho_b]:
+    four lookups and one `Fraction` per window, whatever N.
+    """
+    a, b, grid = sys.orbit_grid(x)
+    scaled = [f.scaled for f in observables]
+    den = math.prod(d for _, d in scaled)
+    if kind == "birkhoff_1d":
+        ((u, _),) = scaled
+        line = list(accumulate((u[row[0]] for row in grid), initial=0))
+
+        def window_1d(N: int) -> Fraction:
+            q, rho = divmod(N, a)
+            return Fraction(q * line[a] + line[rho], N * den)
+
+        return window_1d
+    if kind == "cubic":
+        (u1, _), (u2, _), (u3, _) = scaled
+        g2 = [u2[p] for p in grid[0]]
+        K = [[u1[row[0]] * v * u3[p] for v, p in zip(g2, row)] for row in grid]
+    else:
+        ((u, _),) = scaled
+        K = [[u[p] for p in row] for row in grid]
+    rows = (accumulate(row, initial=0) for row in K)
+    P = list(accumulate(rows, lambda above, row: list(map(add, above, row)), initial=[0] * (b + 1)))
+
+    def window(N: int) -> Fraction:
+        (qa, ra), (qb, rb) = divmod(N, a), divmod(N, b)
+        full, part = P[a], P[ra]
+        return Fraction(qa * qb * full[b] + qa * full[rb] + qb * part[b] + part[rb], N * N * den)
+
+    return window
+
+
 def cubic_average(sys: FiniteMPS, f1: Observable, f2: Observable, f3: Observable, x: int, N: int) -> Fraction:
     """(1/N^2) sum_{i,j<N} f1(S^i x) f2(T^j x) f3(S^i T^j x), exactly."""
     _check_average_args(sys, (f1, f2, f3), x, N)
-    a, b, grid = sys.orbit_grid(x)
-    (u1, d1), (u2, d2), (u3, d3) = f1.scaled, f2.scaled, f3.scaled
-    F3 = [[u3[p] for p in row] for row in grid]
-    rows = cubic_rows(window_counts(N, a), window_counts(N, b), [u2[p] for p in grid[0]], F3)
-    total = sum(u1[row[0]] * v for row, v in zip(grid, rows))
-    return Fraction(total, N**2 * d1 * d2 * d3)
+    return _linear_table(sys, "cubic", (f1, f2, f3), x)(N)
 
 
 def fourfold_average(
@@ -391,7 +424,7 @@ def decompose_and_converge(
         along_t[s_orbit[p]] += u2[p]
     total = sum(u3[p] * along_s[t_orbit[p]] * along_t[s_orbit[p]] for p in range(sys.n))
     limit = Fraction(total, a * b * d1 * d2 * d3)
-    return schedule_report(schedule, lambda N: cubic_average(sys, f1, f2, f3, x, N), limit, {"kind": "cubic", "start": x, "n": sys.n})
+    return schedule_report(schedule, _linear_table(sys, "cubic", (f1, f2, f3), x), limit, {"kind": "cubic", "start": x, "n": sys.n})
 
 
 def schedule_report(
@@ -408,33 +441,29 @@ def schedule_report(
     return ConvergenceReport(rows=tuple(rows), metadata=metadata)
 
 
-def _birkhoff(gens):
-    """(value, reference) of a Birkhoff kind; the window lcm(a, b) covers every period on the orbit grid."""
-    def value(sys, fs, x, N):
-        return birkhoff_average(sys, *fs, x, gens, N)
-
-    return value, lambda sys, fs, x: value(sys, fs, x, math.lcm(*sys.orbit_grid(x)[:2]))
-
-
-# kind -> (value at window size N, exact reference or None); the kernels are
-# looked up when called, so a wrapped module function sees every call.
-_FINITE_KINDS = {
-    "cubic": (lambda sys, fs, x, N: cubic_average(sys, *fs, x, N), None),
-    "fourfold": (lambda sys, fs, x, N: fourfold_average(sys, *fs, x, N), lambda sys, fs, x: host_integral(host_measure(sys), fs)),
+# The per-window kinds -> (value at window size N, exact reference); the
+# kernels are looked up when called, so a wrapped module function sees every
+# call.  The linear kinds evaluate every window from one `_linear_table`.
+_QUADRATIC_KINDS = {
+    "fourfold": (lambda sys, fs, x, N: fourfold_average(sys, *fs, x, N), lambda sys, fs: host_integral(host_measure(sys), fs)),
     "windowed_sn": (
         lambda sys, fs, x, N: windowed_sn(sys, *fs, x, N),
-        lambda sys, fs, x: host_seminorm(host_measure(sys), *fs).fourth_power,
+        lambda sys, fs: host_seminorm(host_measure(sys), *fs).fourth_power,
     ),
-    "birkhoff_1d": _birkhoff([S_GEN]),
-    "birkhoff_2d": _birkhoff([S_GEN, T_GEN]),
 }
 
 
 def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
-    """Drive one average kind over a schedule, wiring in the exact oracle
-    reference where one exists (the four-fold joining integral)."""
+    """Drive one average kind over a schedule, wiring in the exact reference
+    where one exists: the four-fold joining integral, the S_N limit, and the
+    Birkhoff value at N = lcm(a, b), which covers every period on the orbit
+    grid.  The cubic kind has none."""
     _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
-    value, reference = _FINITE_KINDS[spec.kind]
     fs, x = spec.observables, spec.start
-    ref = None if reference is None else reference(sys, fs, x)
-    return schedule_report(spec.schedule, lambda N: value(sys, fs, x, N), ref, {"kind": spec.kind, "start": x, "n": sys.n})
+    if spec.kind in _QUADRATIC_KINDS:
+        kernel, reference = _QUADRATIC_KINDS[spec.kind]
+        value, ref = (lambda N: kernel(sys, fs, x, N)), reference(sys, fs)
+    else:
+        value = _linear_table(sys, spec.kind, fs, x)
+        ref = None if spec.kind == "cubic" else value(math.lcm(*sys.orbit_grid(x)[:2]))
+    return schedule_report(spec.schedule, value, ref, {"kind": spec.kind, "start": x, "n": sys.n})

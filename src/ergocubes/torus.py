@@ -164,7 +164,8 @@ def fourier_cubic_limit(system: TorusSystem, f1: TrigPoly, f2: TrigPoly, f3: Tri
     Error bound: unless a product of coefficients underflows, the result is
     within (1 + f1.degree) * 2**-46 * prod_i f_i.sup_bound of the exact sum
     at the given coefficients and the exact start; the degree enters because
-    each phase n x is rounded as a float.
+    each phase n x is rounded as a float.  Raises ValueError when a phase
+    2 pi n x with a nonzero term is not a finite float.
     """
     _require_generic(system, "the cubic limit formula")
     x = float(as_fraction(x) % 1)
@@ -175,7 +176,9 @@ def fourier_cubic_limit(system: TorusSystem, f1: TrigPoly, f2: TrigPoly, f3: Tri
             try:
                 angle = 2.0 * math.pi * n * x
             except OverflowError:
-                raise ValueError(f"cubic limit: a frequency of {n.bit_length()} bits is past float range") from None
+                angle = math.inf
+            if not math.isfinite(angle):
+                raise ValueError(f"cubic limit: a frequency of {n.bit_length()} bits is past float range")
             terms.append(c.real * math.cos(angle) - c.imag * math.sin(angle))
     return math.fsum(terms)
 

@@ -52,7 +52,6 @@ from .averaging import (
     birkhoff_average,
     check_bound_average,
     check_telescoping,
-    cubic_rows,
     decompose_and_converge,
     fourfold_average,
     fourfold_average_naive,
@@ -363,6 +362,14 @@ class SweepResult(NamedTuple):
     max_ratio: Fraction      # max of (window average)^4 / (N^4 * S_N) over S_N > 0
 
 
+def cubic_rows(cs: Sequence[int], ct: Sequence[int], g2: Sequence[int], F3: Sequence[Sequence[int]]) -> List[int]:
+    """The S-residue terms cs[r] sum_s ct[s] g2[s] F3[r][s] of the cubic sum;
+    pairing them with f1 on the S-cycle, sum_r g1[r] rows[r], gives N^2
+    times the cubic average."""
+    weights = [t * v for t, v in zip(ct, g2)]
+    return [c * sum(map(mul, weights, row)) for c, row in zip(cs, F3)]
+
+
 def exhaustive_bound_sweep(
     sys: FiniteMPS,
     n_values: Sequence[int],
@@ -376,7 +383,7 @@ def exhaustive_bound_sweep(
     those sections covers every +-1 observable triple; the returned `checks`
     counts the full triples represented.  All arithmetic is integer: the
     bound average^4 <= c * S_N clears to cubic_sum^4 * c.den <= c.num * N^4 * sn_sum,
-    with both sums taken by the averaging kernels' `sn_sum` and `cubic_rows`.
+    with S_N taken by the averaging kernels' `sn_sum` and the cubic sum by `cubic_rows`.
     """
     a, b, grid = sys.orbit_grid(start)
     flat = sorted({p for row in grid for p in row})

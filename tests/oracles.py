@@ -83,6 +83,20 @@ def literal_birkhoff(sys, f, x, gens, N):
     return total / N ** len(gens)
 
 
+def literal_cubic(sys, f1, f2, f3, x, N):
+    """The cubic box sum (1/N^2) sum_{i,j<N} f1(S^i x) f2(T^j x) f3(S^i T^j x),
+    each point walked one step at a time."""
+    total = F(0)
+    for i in range(N):
+        for j in range(N):
+            total += (
+                f1.values[literal_apply(sys, i, 0, x)]
+                * f2.values[literal_apply(sys, 0, j, x)]
+                * f3.values[literal_apply(sys, i, j, x)]
+            )
+    return total / N**2
+
+
 def literal_box_hits(step, start, d, N):
     """Every exponent tuple of [0, N)^d walked one step at a time."""
     hits = {}

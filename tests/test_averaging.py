@@ -45,6 +45,7 @@ from oracles import (
     lattices,
     literal_birkhoff,
     literal_box_hits,
+    literal_cubic,
     literal_cycle_length,
     mixed_observable,
     random_observable,
@@ -452,30 +453,27 @@ class TestDecomposition:
                 ], (sys, x, schedule)
         assert accepted == 13 * 22
 
-    def test_one_cubic_average_per_window(self, monkeypatch):
-        calls = []
-        cubic = averaging.cubic_average
-        monkeypatch.setattr(averaging, "cubic_average", lambda *args: calls.append(args[-1]) or cubic(*args))
+    def test_rows_are_the_cubic_averages_alone(self, monkeypatch):
         for name, module in (("windowed_sn", averaging), ("cond_exp", joinings)):
             monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
         sys = product_grid(3, 4)
         f = mixed_observable(Random(419), sys.n)
         schedule = [1, 5, 12, 24]
         report = decompose_and_converge(sys, f, f, f, 2, schedule)
-        assert calls == schedule
-        assert [row.value for row in report.rows] == [cubic(sys, f, f, f, 2, N) for N in schedule]
+        assert [row.value for row in report.rows] == [cubic_average(sys, f, f, f, 2, N) for N in schedule]
 
     def test_the_verify_check_sees_a_kernel_off_at_the_full_period(self, monkeypatch, capsys):
-        # a cubic kernel one too high at every N that is a multiple of
+        # a cubic table one too high at every N that is a multiple of
         # lcm(a, b): the rows there miss the limit, and the suite's one
         # check reports it
-        cubic = averaging.cubic_average
+        table = averaging._linear_table
 
-        def off_by_one(sys, f1, f2, f3, x, N):
+        def off_by_one(sys, kind, fs, x):
             a, b, _ = sys.orbit_grid(x)
-            return cubic(sys, f1, f2, f3, x, N) + (N % math.lcm(a, b) == 0)
+            window = table(sys, kind, fs, x)
+            return lambda N: window(N) + (N % math.lcm(a, b) == 0)
 
-        monkeypatch.setattr(averaging, "cubic_average", off_by_one)
+        monkeypatch.setattr(averaging, "_linear_table", off_by_one)
         result = verify_decomposition(seed=0, trials=3)
         assert result.failures == len(result.findings) == 6
         assert all(" averages do not stabilize at the full period N=" in finding for finding in result.findings)
@@ -623,3 +621,55 @@ class TestAverageSpecAndDriver:
         text = report.to_text()
         assert "# kind: windowed_sn" in text
         assert "4  1/8  1/8  0/1" in text
+
+
+BIRKHOFF_GENS = {"birkhoff_1d": [S_GEN], "birkhoff_2d": [S_GEN, T_GEN]}
+
+
+class TestLinearReports:
+    def test_rows_match_the_literal_box_sums(self):
+        # every window up to twice the full period lcm(a, b), and one past
+        # it: each residue pair (N mod a, N mod b) with quotients 0, 1 and 2
+        rng = Random(487)
+        for sys in lattices(12) + lattice_unions(6):
+            x = rng.randrange(sys.n)
+            f1, f2, f3 = (mixed_observable(rng, sys.n) for _ in range(3))
+            period = math.lcm(literal_cycle_length(sys.S, x), literal_cycle_length(sys.T, x))
+            schedule = tuple(range(1, 2 * period + 2))
+            report = run_average(sys, AverageSpec("cubic", (f1, f2, f3), x, schedule))
+            assert [row.value for row in report.rows] == [literal_cubic(sys, f1, f2, f3, x, N) for N in schedule], (sys, x)
+            for kind, gens in BIRKHOFF_GENS.items():
+                want = [literal_birkhoff(sys, f3, x, gens, N) for N in schedule]
+                report = run_average(sys, AverageSpec(kind, (f3,), x, schedule))
+                assert [row.value for row in report.rows] == want, (sys, x, kind)
+                assert {row.reference for row in report.rows} == {want[period - 1]}, (sys, x, kind)
+
+    def test_birkhoff_rows_at_a_huge_window_match_the_box_hits(self):
+        N = 2**61 - 1
+        rng = Random(491)
+        for sys in lattices(12) + lattice_unions(6):
+            x = rng.randrange(sys.n)
+            f = mixed_observable(rng, sys.n)
+            for kind, gens in BIRKHOFF_GENS.items():
+                report = run_average(sys, AverageSpec(kind, (f,), x, (N,)))
+                assert report.rows[0].value == birkhoff_average(sys, f, x, gens, N), (sys, x, kind)
+
+    def test_one_table_per_report(self, monkeypatch):
+        # a 61-row report builds its table as often as a 1-row one: once
+        builds = []
+        table = averaging._linear_table
+        monkeypatch.setattr(averaging, "_linear_table", lambda *args: builds.append(args[1]) or table(*args))
+        sys = product_grid(3, 4)
+        f = mixed_observable(Random(499), sys.n)
+        routes = {
+            kind: lambda schedule, kind=kind: run_average(sys, AverageSpec(kind, (f,) * AVERAGE_KINDS[kind], 2, schedule))
+            for kind in ("cubic", "birkhoff_1d", "birkhoff_2d")
+        }
+        routes["decompose_and_converge"] = lambda schedule: decompose_and_converge(sys, f, f, f, 2, schedule)
+        for name, route in routes.items():
+            counts = []
+            for schedule in ((2**60,), tuple(2**k for k in range(61))):
+                builds.clear()
+                route(schedule)
+                counts.append(len(builds))
+            assert counts == [1, 1], name

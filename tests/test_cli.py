@@ -350,6 +350,15 @@ class TestAverage:
                              trig, "--schedule", "1,2", "--start", "1/3")
         assert code == 0 and err == ""
 
+    def test_cubic_limit_refuses_a_phase_past_float_range(self, capsys):
+        # a float frequency whose phase 2 pi n x is inf (start 1/3) or nan (start 0)
+        trig = f"--trig=0:1:0;{int(sys.float_info.max) // 2}:0.5:0"
+        for start in ("1/3", "0"):
+            code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "cubic",
+                                 trig, trig, trig, "--schedule", "1,2", "--start", start)
+            assert code == 1 and out == "", start
+            assert err.count("\n") == 1 and err.startswith("error: ") and "past float range" in err, start
+
     def test_finite_start_outside_the_system(self, capsys):
         for kind in ("birkhoff_1d", "birkhoff_2d"):
             for start in ("9", "-1"):

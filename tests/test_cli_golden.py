@@ -16,7 +16,11 @@ bits where N times a 128-bit rotation amount must be reduced exactly.  The
 listed quadruple measure forward to the factor pairs.  The `cube --system
 z12-s1-t3.json` and `cube --builtin grid-2x3 ... --starts 0,107` schedule
 runs were recorded from the code that still listed the cube space and ran
-the general empirical engine for `cube --schedule`.  The recording is the
+the general empirical engine for `cube --schedule`.  The `average --system
+z12-s1-t3.json` runs (a = 12, b = 4, windows 1..30, 2^40 and 2^60 + 1, so
+every residue pair of N is crossed) were recorded from the code that still
+walked the orbit grid once per window for the cubic and Birkhoff kinds; the
+`fourfold` and `windowed_sn` runs are their controls.  The recording is the
 spec: it is never re-recorded to agree with a change.
 """
 
@@ -30,6 +34,8 @@ from ergocubes.finite import system_to_dict, translation_system
 
 MIXED = "--observable=1,-1/3,0,-1/2,5/7,-2"
 TRIG = "--trig=0:0.5:0;1:0.25:-0.5;2:-0.75:0.25"
+MIXED12 = "--observable=1,-1/3,0,-1/2,5/7,-2,3/4,-5/6,2/9,1,-1/11,7/5"
+EVERY_RESIDUE = ",".join(str(n) for n in [*range(1, 31), 2**40, 2**60 + 1])
 KINDS = ("cubic", "fourfold", "windowed_sn", "birkhoff_1d", "birkhoff_2d")
 
 GOLDEN_ARGVS = [
@@ -43,6 +49,10 @@ GOLDEN_ARGVS += [
 ]
 GOLDEN_ARGVS += [
     ["average", "--builtin", "torus-sqrt23", "--kind", kind, TRIG, "--start", "5/7", "--schedule", "pow2:30..60"]
+    for kind in KINDS
+]
+GOLDEN_ARGVS += [
+    ["average", "--system", "z12-s1-t3.json", "--kind", kind, MIXED12, "--start", "5", "--schedule", EVERY_RESIDUE]
     for kind in KINDS
 ]
 GOLDEN_ARGVS += [

@@ -33,6 +33,7 @@ REFERENCES = {
     "literal_stabilizer": ("is_free", "orbit_grid"),
     "literal_apply": ("apply", "group_perm", "orbit_grid"),
     "literal_birkhoff": ("birkhoff_average", "box_hits", "apply", "group_perm", "orbit_grid"),
+    "literal_cubic": ("cubic_average", "cubic_rows", "_linear_table", "apply", "group_perm", "orbit_grid"),
     "literal_box_hits": ("box_hits",),
     "cycle_patterns": ("cube_space", "cube_over", "host_measure"),
     "autocorrelation_fourth_power": ("host_seminorm", "host_integral", "host_measure"),

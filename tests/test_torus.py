@@ -160,6 +160,13 @@ class TestAnalyticOracles:
         cos1 = TrigPoly.cosine(1)
         assert fourier_cubic_limit(sys, huge + cos1, cos1, cos1, 0) == fourier_cubic_limit(sys, cos1, cos1, cos1, 0)
 
+    def test_cubic_limit_refuses_a_phase_past_float_range(self):
+        # the frequency is a float, but 2 pi n x is not: inf for x = 1/3, nan for x = 0
+        huge = TrigPoly.cosine(int(sys.float_info.max) // 2) + TrigPoly.constant(1.0)
+        for x in (F(1, 3), 0):
+            with pytest.raises(ValueError, match="frequency of 1023 bits is past float range"):
+                fourier_cubic_limit(sqrt23_system(), huge, huge, huge, x)
+
     def test_oracles_require_generic_declaration(self):
         rational = TorusSystem(F(1, 3), F(1, 5))
         cos1 = TrigPoly.cosine(1)
