@@ -431,14 +431,25 @@ def schedule_report(
     schedule: Sequence[int], value: Callable[[int], Value], reference: Optional[Value], metadata: Dict[str, object]
 ) -> ConvergenceReport:
     """One row per window size N, in schedule order: value(N), timed alone,
-    against a fixed reference (no abs_error when there is none)."""
+    against a fixed reference (no abs_error when there is none).  An exact
+    row's abs_error is one `Fraction(|p s - r q|, q s)` from v = p/q and
+    reference = r/s."""
     rows = []
     for N in schedule:
         begin = time.perf_counter()
         v = value(N)
         elapsed = time.perf_counter() - begin
-        rows.append(ReportRow(N, v, reference, None if reference is None else abs(v - reference), elapsed))
+        rows.append(ReportRow(N, v, reference, _abs_error(v, reference), elapsed))
     return ConvergenceReport(rows=tuple(rows), metadata=metadata)
+
+
+def _abs_error(v: Value, reference: Optional[Value]) -> Optional[Value]:
+    if reference is None:
+        return None
+    if isinstance(v, Fraction) and isinstance(reference, Fraction):
+        q, s = v.denominator, reference.denominator
+        return Fraction(abs(v.numerator * s - reference.numerator * q), q * s)
+    return abs(v - reference)
 
 
 # The per-window kinds -> (value at window size N, exact reference); the

@@ -94,6 +94,10 @@ def _atomic_write(path: str, text: str):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -293,11 +297,10 @@ def cmd_average(args) -> int:
         report = torus_report(system, kind, obs, start, schedule)
     else:
         report = run_average(system, AverageSpec(kind=kind, observables=tuple(obs), start=start, schedule=schedule))
-    text = report.to_csv() if args.format == "csv" else report.to_text()
-    _emit(text, args.out)
+    if args.tolerance is not None and any(row.reference is None for row in report.rows):
+        raise CliError(f"--tolerance needs a reference value, and kind {kind} has none here")
+    _emit(report.to_csv() if args.format == "csv" else report.to_text(), args.out)
     if args.tolerance is not None:
-        if any(row.reference is None for row in report.rows):
-            raise CliError(f"--tolerance needs a reference value, and kind {kind} has none here")
         worst = max(abs(row.abs_error) for row in report.rows)
         if worst > args.tolerance:
             _sys.stderr.write(f"tolerance breach: worst error {float(worst)} > {args.tolerance}\n")

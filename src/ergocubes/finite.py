@@ -91,20 +91,20 @@ class FiniteMPS:
         weights = [as_fraction(w) for w in weights]
         n = len(weights)
         S, T = check_commuting((S, T), n, ("S", "T"))
-        if any(w < 0 for w in weights):
-            raise InvalidSystemError("bad weights: negative entry")
         nums, d = common_denominator(weights)
+        if any(u < 0 for u in nums):
+            raise InvalidSystemError("bad weights: negative entry")
         if sum(nums) != d:
             raise InvalidSystemError(f"bad weights: total mass {Fraction(sum(nums), d)} != 1")
         for x in range(n):
-            if weights[S[x]] != weights[x]:
+            if nums[S[x]] != nums[x]:
                 raise InvalidSystemError(f"non-preserving: weight changes along S at point {x}")
-            if weights[T[x]] != weights[x]:
+            if nums[T[x]] != nums[x]:
                 raise InvalidSystemError(f"non-preserving: weight changes along T at point {x}")
 
-        if any(w == 0 for w in weights):
+        if 0 in nums:
             # The zero-weight set is S- and T-invariant, so restriction is sound.
-            keep = [x for x in range(n) if weights[x] > 0]
+            keep = [x for x in range(n) if nums[x]]
             index = {x: k for k, x in enumerate(keep)}
             weights = [weights[x] for x in keep]
             S = tuple(index[S[x]] for x in keep)

@@ -610,6 +610,20 @@ class TestAverageSpecAndDriver:
         assert all(row.reference is None for row in report.rows)
         assert all(row.abs_error is None for row in report.rows)
 
+    def test_abs_error_is_the_fraction_difference(self):
+        # the integer abs_error against the Fraction route, all five kinds on
+        # every lattice type of index <= 12, windows short, full and past it
+        rng = Random(503)
+        for sys in lattices(12):
+            x = rng.randrange(sys.n)
+            period = math.lcm(*sys.orbit_grid(x)[:2])
+            schedule = sorted({1, 2, period, 2 * period + 1})
+            for kind, count in AVERAGE_KINDS.items():
+                fs = tuple(mixed_observable(rng, sys.n) for _ in range(count))
+                for row in run_average(sys, AverageSpec(kind, fs, x, schedule)).rows:
+                    want = None if kind == "cubic" else abs(row.value - row.reference)
+                    assert row.abs_error == want, (sys, x, kind, row.N)
+
     def test_report_serialization_golden(self):
         sys = z4_diagonal()
         f = z4_observable()

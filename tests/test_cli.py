@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import json
+import os
+import stat
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -184,18 +186,22 @@ class TestAverage:
             assert err == f"error: --tolerance must be a finite number >= 0, got {float(value)}\n"
         assert run(capsys, *base, "--tolerance=0")[0] == 2
 
-    def test_tolerance_requires_reference(self, capsys):
-        code, _, err = run(
-            capsys,
+    def test_tolerance_requires_reference(self, capsys, tmp_path):
+        # refused before any report is written, to stdout or to --out
+        argv = [
             "average",
             "--builtin", "z4-diagonal",
             "--kind", "cubic",
             "--observable", "1,0,-1,0",
             "--schedule", "4",
             "--tolerance", "0.5",
-        )
-        assert code == 1
-        assert "--tolerance needs a reference value" in err
+        ]
+        target = tmp_path / "report.csv"
+        for extra in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 1 and out == ""
+            assert "--tolerance needs a reference value" in err
+        assert not target.exists()
 
     def test_pow2_schedule(self, capsys):
         code, out, _ = run(
@@ -438,6 +444,20 @@ class TestAverage:
         code, _, _ = run(capsys, *argv, "--out", str(target))
         assert code == 0
         assert target.read_bytes() == first
+
+    def test_out_file_gets_the_umask_mode(self, capsys, tmp_path):
+        target = tmp_path / "report.csv"
+        argv = ["average", "--builtin", "z4-diagonal", "--kind", "birkhoff_1d", "--observable", "1,0,-1,0", "--schedule", "4"]
+        umask = os.umask(0o027)
+        try:
+            assert run(capsys, *argv, "--out", str(target))[0] == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+            target.chmod(0o604)
+            os.umask(0o022)
+            assert run(capsys, *argv, "--out", str(target))[0] == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        finally:
+            os.umask(umask)
 
     def test_block_size_flag_is_gone(self, capsys):
         code, out, err = run(

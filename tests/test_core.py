@@ -1,10 +1,13 @@
 """Exact containers: partitions, observables, sparse measures."""
 
+import re
 import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ergocubes.core import (
     DimensionError,
@@ -45,6 +48,29 @@ def test_parse_rational_bounds_the_decimal_exponent():
         parse_rational("1e" + "9" * (limit + 1))
     with pytest.raises(ValueError):
         parse_rational("1/x")
+
+
+# Digits (one non-ASCII), signs, '/', '.', exponent letters, '_' and
+# whitespace: free text, and text shaped like Fraction's grammar.
+RATIONAL_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-/.eE_ \t\n\u0663", max_size=16),
+    st.from_regex(r"\s?[-+]?\d{0,3}(_\d)?(\s?[/.]\s?\d{0,3}(_\d)?)?([eE][-+]?\d{1,3})?\s?", fullmatch=True),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(RATIONAL_TEXT)
+def test_parse_rational_agrees_with_fraction(text):
+    # an exponent of four or more digits meets the guard on purpose
+    assume(not re.search(r"[eE][-+]?[\d_]{4,}", text))
+    assert _outcome(parse_rational, text) == _outcome(Fraction, text)
 
 
 def test_format_fraction_always_shows_denominator():

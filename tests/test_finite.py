@@ -48,12 +48,15 @@ class TestConstruction:
             FiniteMPS([QUARTER] * 3, [0, 1, 2], [0, 1, 2])
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidSystemError, match="bad weights"):
-            FiniteMPS([Fraction(3, 2), Fraction(-1, 2)], [0, 1], [0, 1])
+        # the sign is checked before the total mass
+        for weights in ([Fraction(3, 2), Fraction(-1, 2)], [Fraction(1, 2), Fraction(-1, 2)]):
+            with pytest.raises(InvalidSystemError, match="bad weights: negative entry"):
+                FiniteMPS(weights, [0, 1], [0, 1])
 
     def test_rejects_non_preserving(self):
-        with pytest.raises(InvalidSystemError, match="non-preserving"):
-            FiniteMPS([Fraction(1, 3), Fraction(2, 3)], [1, 0], [0, 1])
+        for S, T, which in (([1, 0], [0, 1], "S"), ([0, 1], [1, 0], "T")):
+            with pytest.raises(InvalidSystemError, match=f"non-preserving: weight changes along {which} at point 0"):
+                FiniteMPS([Fraction(1, 3), Fraction(2, 3)], S, T)
 
     def test_rejects_non_commuting(self):
         # S = (01), T = (12) on three points do not commute
