@@ -23,8 +23,8 @@ import functools
 import json
 import math
 import os
+import stat
 import sys as _sys
-import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -90,14 +90,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, text: str):
+    # Created 0666 so the umask applies as it does for open(path, "w"); an
+    # existing target keeps its own mode.
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            # mkstemp makes the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
+            try:
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -44,18 +44,16 @@ _PLAIN_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 
 def parse_rational(text: str) -> Fraction:
     """`Fraction(text)`.  The plain forms `[+-]p` and `[+-]p/q` are read with
-    `int`; any other text with an `e` or `E` first has its decimal exponent
-    checked to be at most `sys.int_info.default_max_str_digits` (the longest
-    int string Python converts): `Fraction("1e-999999999")` would build a
-    billion-digit int."""
+    `int`; any other text first has its decimal exponent checked to be at
+    most `sys.int_info.default_max_str_digits` (the longest int string Python
+    converts): `Fraction("1e-999999999")` would build a billion-digit int."""
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain:
         p, q = plain.groups()
         return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
-    if "e" in text or "E" in text:
-        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
-        if exponent and abs(int(exponent.group(1))) > sys.int_info.default_max_str_digits:
-            raise ValueError(f"decimal exponent above {sys.int_info.default_max_str_digits} in size")
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
+    if exponent and abs(int(exponent.group(1))) > sys.int_info.default_max_str_digits:
+        raise ValueError(f"decimal exponent above {sys.int_info.default_max_str_digits} in size")
     return Fraction(text)
 
 

@@ -445,19 +445,22 @@ class TestAverage:
         assert code == 0
         assert target.read_bytes() == first
 
-    def test_out_file_gets_the_umask_mode(self, capsys, tmp_path):
+    def test_out_file_mode_is_as_open_gives_it(self, capsys, tmp_path):
+        # a new file gets 0666 less the umask; an overwritten one keeps its mode
         target = tmp_path / "report.csv"
         argv = ["average", "--builtin", "z4-diagonal", "--kind", "birkhoff_1d", "--observable", "1,0,-1,0", "--schedule", "4"]
         umask = os.umask(0o027)
         try:
             assert run(capsys, *argv, "--out", str(target))[0] == 0
             assert stat.S_IMODE(target.stat().st_mode) == 0o640
-            target.chmod(0o604)
-            os.umask(0o022)
-            assert run(capsys, *argv, "--out", str(target))[0] == 0
-            assert stat.S_IMODE(target.stat().st_mode) == 0o644
+            for mode in (0o604, 0o600):
+                target.chmod(mode)
+                os.umask(0o022)
+                assert run(capsys, *argv, "--out", str(target))[0] == 0
+                assert stat.S_IMODE(target.stat().st_mode) == mode
         finally:
             os.umask(umask)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
     def test_block_size_flag_is_gone(self, capsys):
         code, out, err = run(
