@@ -43,7 +43,7 @@ from .finite import (
     system_to_dict,
     z4_diagonal,
 )
-from .joinings import host_measure, is_magic, magic_extension, measurability_check, ExtensionConstructionError
+from .joinings import is_magic, magic_extension, measurability_check, ExtensionConstructionError
 from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
 from .cubes import product_cube_identification, uniform_cube_deviation
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
@@ -228,6 +228,14 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _support_counts(system: FiniteMPS) -> Tuple[int, int, int]:
+    """Sizes of supp mu_S, supp mu_T and the cube space, sum_x |S-orbit(x)| |T-orbit(x)|."""
+    ps, pt = partition_s(system), partition_t(system)
+    s_len, t_len = ([len(block) for block in p.blocks()] for p in (ps, pt))
+    quadruples = sum(s_len[s] * t_len[t] for s, t in zip(ps.block_of, pt.block_of))
+    return sum(k * k for k in s_len), sum(k * k for k in t_len), quadruples
+
+
 # -- analyze -----------------------------------------------------------------
 
 
@@ -240,7 +248,6 @@ def cmd_analyze(args) -> int:
         lines.append(f"beta: {float(system.beta):.12f}")
         lines.append(f"generic pair declared: {_yesno(system.generic)}")
     else:
-        hm = host_measure(system)
         free = is_free(system)
         magic = is_magic(system)
         lines.append(f"points: {system.n}")
@@ -259,10 +266,8 @@ def cmd_analyze(args) -> int:
             lines.append(f"magic: no ({magic.direction})")
         lines.append(f"kernel dimension: {magic.seminorm_kernel_dim}   mean-zero dimension: {magic.mean_zero_dim}")
         lines.append(f"invariant pairing measurable: {_yesno(measurability_check(system))}")
-        lines.append(f"pair support: {sum(len(orbit) for orbit in hm.orbits)}")
-        # supp mu_{S,T} is the cube space, so one count gives both lines
-        quadruples = sum(len(orbit) ** 2 for orbit in hm.orbits)
-        lines += [f"quadruple support: {quadruples}", f"cube space: {quadruples}"]
+        pairs, _, quadruples = _support_counts(system)
+        lines += [f"pair support: {pairs}", f"quadruple support: {quadruples}", f"cube space: {quadruples}"]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -378,22 +383,20 @@ def cmd_cube(args) -> int:
         return 0 if report.identified else 2
     # Counts from the orbit data.  The cube over x is (x, S^i x, T^j x, S^i T^j x), i < a_x,
     # j < b_x; side moves shift (i, j) and diagonals carry it onto the cubes over Sx and Tx,
-    # so the transform orbits are the joint orbits.  The pairs (x, g^i x) are the supp mu_S
-    # of the (T x T)-orbits for g = S, each T-orbit squared for g = T.  supp mu_{S,T} holds
-    # every cube, so equal counts mean equal sets.
-    ps, pt = partition_s(system), partition_t(system)
-    s_len, t_len = ([len(block) for block in p.blocks()] for p in (ps, pt))
-    quadruples = sum(s_len[s] * t_len[t] for s, t in zip(ps.block_of, pt.block_of))
+    # so the transform orbits are the joint orbits.  supp mu_{S,T} holds every cube, so equal
+    # counts mean equal sets; it is counted as the host measure lays it out: the grid of each
+    # T-orbit has a_y rows, (T x T)-orbits C of |T-orbit| pairs, each with |C|^2 quadruples.
+    s_pairs, t_pairs, quadruples = _support_counts(system)
     orbit_count = partition_st(system).num_blocks
-    hm = host_measure(system)
     lines = [
         f"quadruples: {quadruples}",
         f"transform orbits: {orbit_count}",
         f"transitive: {_yesno(orbit_count == 1)}",
-        f"pair space (S): {sum(len(orbit) for orbit in hm.orbits)}",
-        f"pair space (T): {sum(n * n for n in t_len)}",
+        f"pair space (S): {s_pairs}",
+        f"pair space (T): {t_pairs}",
     ]
-    support_matches = sum(len(orbit) ** 2 for orbit in hm.orbits) == quadruples
+    grids = (system.orbit_grid(block[0])[2] for block in partition_t(system).blocks())
+    support_matches = sum(len(grid) * len(grid[0]) ** 2 for grid in grids) == quadruples
     lines.append(f"quadruple measure supported on cube space: {_yesno(support_matches)}")
     if args.schedule is not None:
         schedule = _parse_schedule(args.schedule)

@@ -16,8 +16,7 @@ is C = {(T^j y, S^k T^j y) : j < |tau|} for one T-orbit tau, y its first
 point, and one k < a_y (T x T moves j and keeps k), so |C| = |tau|.  On an
 S-orbit O, mu_S(a,b) = w(a) w(b) / w(O), and w(O) is constant along C.  So
 the integrals sum_C L_C R_C / mu_S(C) are summed in ints at the cost of
-|supp mu_S| (`host_integral`), measurability is decided by counting
-(`measurability_check`), and masses are listed only on demand (`mu_st`).
+|supp mu_S| (`host_integral`), and masses are listed only on demand (`mu_st`).
 
 With positive weights the box seminorm is a norm.  Expanding the integral
 over the orbits, |||f|||^4 = sum_C L_C^2 / mu_S(C), with L_C the orbit sum
@@ -26,7 +25,8 @@ diagonal pair (y, y) (k = 0 above) has L_C = sum_j mu_S(T^j y, T^j y)
 f(T^j y)^2, and mu_S(z, z) = w(z)^2 / w(O) > 0, so |||f||| = 0 forces f = 0
 on every T-orbit.  A magic system, whose seminorm kernel is {f : E(f|W) =
 0}, therefore has only f = 0 there: every W-block is one point, W is
-discrete and E(f|W) = f.
+discrete and E(f|W) = f.  The invariant pairing is measurable in the same
+case (`measurability_check`).
 
 The magic extension needs none of mu_{S,T}.  Host's construction splits it
 into ergodic components under S* = id x S x id x S and T* = id x id x T x T,
@@ -44,7 +44,6 @@ and on a finite ergodic base these are known in closed form:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -394,19 +393,14 @@ def magic_extension(sys: FiniteMPS) -> MagicExtension:
 
 
 def measurability_check(sys: FiniteMPS) -> bool:
-    """Verify E(f0 x f1 | I_{TxT}) = E(E(f0|W) x E(f1|W) | I_{TxT}) exactly.
+    """Verify E(f0 x f1 | I_{TxT}) = E(E(f0|W) x E(f1|W) | I_{TxT}) exactly: W is discrete.
 
     By bilinearity: spreading mu_S|_C over products of W-blocks must leave it
     fixed, for each (T x T)-orbit C.  W refines the S-orbits and mu_S is
     w x w / w(O) on each O x O, so on A x B the spread is m w(x) w(y) / (w(A)
     w(B)), m the mass of C in A x B.  As weights are positive, that is mu_S|_C
-    exactly when C meets A x B in 0 or |A| |B| pairs: a count per orbit.
+    exactly when C meets A x B in 0 or |A| |B| pairs.  A W-block A with |A| >= 2
+    lies in one T-orbit, so for x in A the orbit of the diagonal pair (x, x)
+    meets A x A in |A| pairs, not |A|^2; a discrete W makes every count 0 or 1.
     """
-    hm = host_measure(sys)
-    block = invariant_w(sys).block_of
-    size = Counter(block)
-    for orbit in hm.orbits:
-        hits = Counter((block[a], block[b]) for a, b in orbit)
-        if any(k != size[A] * size[B] for (A, B), k in hits.items()):
-            return False
-    return True
+    return invariant_w(sys).num_blocks == sys.n

@@ -183,16 +183,20 @@ def listed_mu_st(sys):
 
 def measurable_by_spread(sys):
     """The measurability check by spreading each orbit's Fraction masses over
-    W-block products: the reference for the counting `measurability_check`."""
-    w_part = invariant_w(sys)
-    w_blocks = w_part.blocks()
+    W-block products: the reference for `measurability_check`.  The W-block of
+    x is its literal S-cycle cut with its literal T-cycle."""
+    block_of, w_blocks = {}, []
+    for x in range(sys.n):
+        if x not in block_of:
+            w_blocks.append(sorted(set(literal_cycle(sys.S, x)) & set(literal_cycle(sys.T, x))))
+            block_of.update((y, len(w_blocks) - 1) for y in w_blocks[-1])
     w_mass = [sum((sys.weights[x] for x in block), F(0)) for block in w_blocks]
     mu_s = rel_indep_square(sys).entries
     for orbit in closure_orbits(sys):
         spread = {}
         for (a, b) in orbit:
             w_ab = mu_s[(a, b)]
-            ba, bb = w_part.block_of[a], w_part.block_of[b]
+            ba, bb = block_of[a], block_of[b]
             scale = w_ab / (w_mass[ba] * w_mass[bb])
             for x in w_blocks[ba]:
                 wx = sys.weights[x] * scale

@@ -21,8 +21,8 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import MagicReport, host_measure
-from oracles import lattice_unions, lattices
+from ergocubes.joinings import MagicReport, host_measure, measurability_check, rel_indep_square
+from oracles import lattice_unions, lattices, listed_mu_st, measurable_by_spread
 
 
 def run(capsys, *argv):
@@ -59,6 +59,24 @@ class TestAnalyze:
         assert code == 0
         assert "points: 6" in out
         assert "magic: yes" in out
+
+    def test_support_and_measurability_lines_match_the_listed_routes(self, capsys, tmp_path):
+        # the count lines against the listed measures and the listed cube
+        # space, and the verdict against the spread over literal-cycle W-blocks
+        systems = lattices(9) + lattice_unions(6)
+        measurable = 0
+        for k, system in enumerate(systems):
+            verdict = measurable_by_spread(system)
+            measurable += verdict
+            expected = (
+                f"invariant pairing measurable: {'yes' if verdict else 'no'}\n"
+                f"pair support: {len(rel_indep_square(system).entries)}\n"
+                f"quadruple support: {len(listed_mu_st(system))}\n"
+                f"cube space: {cube_space(system).size}\n"
+            )
+            code, out, err = run(capsys, "analyze", "--system", write_system(tmp_path / f"{k}.json", system))
+            assert (code, err) == (0, "") and out.endswith(expected)
+        assert (len(systems), measurable) == (295, 113)
 
     def test_unknown_builtin(self, capsys):
         code, out, err = run(capsys, "analyze", "--builtin", "nonesuch")
@@ -615,6 +633,23 @@ class TestCube:
             code, out, err = run(capsys, "cube", "--system", write_system(tmp_path / f"{k}.json", system))
             assert (code, out, err) == (0 if support else 2, expected, "")
         assert (len(systems), transitive) == (296, 70)
+
+    def test_reports_and_measurability_build_no_host_measure(self, capsys, tmp_path, monkeypatch):
+        def unbuilt(system):
+            raise AssertionError("a host measure was built")
+
+        monkeypatch.setattr(joinings, "_build_host_measure", unbuilt)
+        for k, system in enumerate(lattices(12) + (product_grid(40, 40),)):
+            measurability_check(system)
+            path = write_system(tmp_path / f"{k}.json", system)
+            code, out, err = run(capsys, "cube", "--system", path)
+            assert (code, err) == (0, "")
+            transitive = "transitive: yes" in out
+            code, out, err = run(capsys, "cube", "--system", path, "--schedule", "1,3")
+            if transitive:
+                assert (code, err) == (0, "") and "empirical deviation from uniform (worst start):" in out
+            else:
+                assert (code, out) == (1, "")
 
     def test_report_memory_follows_the_pair_support(self, capsys, tmp_path):
         # product_grid(40, 40): 64,000 pairs in supp mu_S but 2,560,000

@@ -72,7 +72,8 @@ class TestCubeSpace:
             assert set(space.points) == set(host_measure(sys).mu_st.entries)
 
     def test_size_counts_the_listed_space(self):
-        # `analyze` prints the quadruple support size sum |C|^2 as the cube space size
+        # the host measure's orbits carry sum |C|^2 quadruples, the size of the
+        # listed cube space; `analyze` and `cube` print it as sum_x a_x b_x
         for sys in lattices(9) + lattice_unions(6) + (product_grid(6, 6),):
             assert sum(len(orbit) ** 2 for orbit in host_measure(sys).orbits) == cube_space(sys).size
 

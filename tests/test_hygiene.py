@@ -40,7 +40,7 @@ REFERENCES = {
     "is_free_brute": ("is_free",),
     "closure_orbits": ("host_measure",),
     "listed_mu_st": ("host_measure",),
-    "measurable_by_spread": ("measurability_check", "host_measure"),
+    "measurable_by_spread": ("measurability_check", "host_measure", "invariant_w"),
     "magic_extension_by_decomposition": ("magic_extension", "cube_over", "is_free"),
     "listed_pushforward": ("product_cube_identification",),
     "three_track_decomposition": ("decompose_and_converge",),
