@@ -18,6 +18,14 @@ S-orbit O, mu_S(a,b) = w(a) w(b) / w(O), and w(O) is constant along C.  So
 the integrals sum_C L_C R_C / mu_S(C) are summed in ints at the cost of
 |supp mu_S| (`host_integral`), and masses are listed only on demand (`mu_st`).
 
+So supp mu_{S,T}, the union of the C x C, is the cube space on every system.
+Two pairs p = (T^j y, S^k T^j y) and q = (T^j' y, S^k T^j' y) of one orbit C
+form the cube (x, S^k x, T^m x, S^k T^m x), with x = T^j y and m = j' - j.
+Conversely the cube (x, S^i x, T^m x, S^i T^m x) is the pair p = (x, S^i x)
+followed by q = (T x T)^m p, in the orbit of p, and its mass is positive
+because every weight is.  This is why `cube` prints its support line as a
+constant.
+
 With positive weights the box seminorm is a norm.  Expanding the integral
 over the orbits, |||f|||^4 = sum_C L_C^2 / mu_S(C), with L_C the orbit sum
 of mu_S(a,b) f(a) f(b), and every term is nonnegative.  The orbit of a

@@ -1,12 +1,12 @@
 """Circle rotations with trigonometric-polynomial observables.
 
 The continuous companion to the finite systems: S and T rotate the circle by
-fixed amounts alpha and beta.  For a rotation pair with no rational relations
-the limits of every average have closed Fourier forms, so this module provides
-those analytic oracles next to a numerical engine that evaluates the averages
-at finite N.  Rotation amounts are stored as high-precision Fractions, and
-every phase like (x + i*alpha) mod 1 is reduced exactly in integers over the
-denominators of alpha, beta and x before any float rounding.
+fixed amounts alpha and beta.  Every average is evaluated in closed form from
+one frequency table per report: at each window size N, and, for a rotation
+pair declared generic, at its N -> infinity limit, the report's reference.
+Rotation amounts are stored as high-precision Fractions, and every phase like
+(x + i*alpha) mod 1 is reduced exactly in integers over the denominators of
+alpha, beta and x before any float rounding.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from .core import PreconditionError, as_fraction
+from .core import as_fraction
 from .averaging import ConvergenceReport, check_kind, check_schedule, schedule_report
 
 DEFAULT_PRECISION_BITS = 128
@@ -40,7 +40,7 @@ class TorusSystem:
     `generic` declares that (alpha, beta, 1) satisfy no rational relation.
     The stored amounts are rational approximants, so genericity is a
     declaration about the numbers they stand for, not a checkable property;
-    the analytic oracles require it.
+    reports carry their limit as a reference only for a generic pair.
     """
 
     alpha: Fraction
@@ -135,54 +135,6 @@ class TrigPoly:
         return math.fsum(terms)
 
 
-def _require_generic(system: TorusSystem, what: str):
-    if not system.generic:
-        raise PreconditionError(f"{what} assumes a generic rotation pair; this system does not declare one")
-
-
-def fourier_host_integral(system: TorusSystem, f0: TrigPoly, f1: TrigPoly, f2: TrigPoly, f3: TrigPoly) -> float:
-    """Exact limit of the four-fold average: sum_n c0(n) c1(-n) c2(-n) c3(n).
-
-    For a generic pair the four-fold self-joining is the image of three
-    independent uniform coordinates (x0, x1, x2, x1 + x2 - x0), and matching
-    frequencies kills everything except the diagonal above.  Error bound:
-    unless a product of coefficients underflows, the result is within
-    2**-48 * prod_i f_i.sup_bound of the exact sum at the given coefficients.
-    """
-    _require_generic(system, "the four-fold integral formula")
-    terms = [
-        (f0.coeff(n) * f1.coeff(-n) * f2.coeff(-n) * f3.coeff(n)).real
-        for n in sorted(f0.coeffs)
-    ]
-    return math.fsum(terms)
-
-
-def fourier_cubic_limit(system: TorusSystem, f1: TrigPoly, f2: TrigPoly, f3: TrigPoly, x) -> float:
-    """Exact pointwise limit of the cubic average at start x:
-    sum_n c1(n) c2(n) c3(-n) e^{2 pi i n x}.
-
-    Error bound: unless a product of coefficients underflows, the result is
-    within (1 + f1.degree) * 2**-46 * prod_i f_i.sup_bound of the exact sum
-    at the given coefficients and the exact start; the degree enters because
-    each phase n x is rounded as a float.  Raises ValueError when a phase
-    2 pi n x with a nonzero term is not a finite float.
-    """
-    _require_generic(system, "the cubic limit formula")
-    x = float(as_fraction(x) % 1)
-    terms = []
-    for n in sorted(f1.coeffs):
-        c = f1.coeff(n) * f2.coeff(n) * f3.coeff(-n)
-        if c != 0:
-            try:
-                angle = 2.0 * math.pi * n * x
-            except OverflowError:
-                angle = math.inf
-            if not math.isfinite(angle):
-                raise ValueError(f"cubic limit: a frequency of {n.bit_length()} bits is past float range")
-            terms.append(c.real * math.cos(angle) - c.imag * math.sin(angle))
-    return math.fsum(terms)
-
-
 def _e(num: int, den: int) -> complex:
     """exp(2 pi i num/den), with num reduced mod den exactly before rounding."""
     angle = 2.0 * math.pi * (num % den / den)
@@ -269,15 +221,16 @@ def _frequency_table(system: TorusSystem, kind: str, observables: Sequence[TrigP
     return rows, list(slots)
 
 
-def _window_average(table, kind: str, N: int) -> float:
-    """One window average from a frequency table: each geometric mean once,
-    then each row's prefix times its means in order, summed exactly."""
-    rows, means = table
-    values = [_mean_phase(p, q, N) for p, q in means]
+def _window_average(table, kind: str, means: Sequence[complex]) -> float:
+    """One average from a frequency table and its geometric means' values, in
+    table order: each row's prefix times its means in order, summed exactly.
+    A window passes _mean_phase(p, q, N).  The N -> infinity limit passes
+    complex(p % q == 0): _mean_phase is exactly 1 when q | p, and otherwise
+    at most 1 / (N |sin(pi p/q)|), which tends to 0."""
     terms = []
-    for term, factors in rows:
+    for term, factors in table[0]:
         for i in factors:
-            term *= values[i]
+            term *= means[i]
         terms.append(term.real)
     value = math.fsum(terms)
     return abs(value) if kind == "windowed_sn" else value
@@ -297,7 +250,8 @@ def torus_average(system: TorusSystem, kind: str, observables: Sequence[TrigPoly
     float.
     """
     _check_torus_args(kind, observables, N)
-    return _window_average(_frequency_table(system, kind, observables, x), kind, N)
+    table = _frequency_table(system, kind, observables, x)
+    return _window_average(table, kind, [_mean_phase(p, q, N) for p, q in table[1]])
 
 
 def torus_average_naive(system: TorusSystem, kind: str, observables: Sequence[TrigPoly], x, N: int) -> float:
@@ -352,22 +306,20 @@ def torus_report(
     x,
     schedule: Sequence[int],
 ) -> ConvergenceReport:
-    """Run one kind over a schedule against its analytic limit (when the
-    system is generic; otherwise values are reported without a reference)."""
+    """Run one kind over a schedule against its limit: for a generic system,
+    the frequency table with every geometric mean at N -> infinity (see
+    _window_average); otherwise no reference.  Unless a coefficient product
+    underflows, the reference is within 2**-48 * prod_i f_i.sup_bound
+    (f.sup_bound ** 4 for windowed_sn) of the exact limit at the stored
+    rotation amounts and start.  That limit is the Fourier closed form unless
+    a frequency combination is a nonzero multiple of an approximant's
+    denominator (2**128 for sqrt23_system)."""
     check_schedule(schedule)
     observables = list(observables)
     _check_torus_args(kind, observables, schedule[-1])
-    reference: Optional[float] = None
-    if system.generic:
-        if kind == "cubic":
-            reference = fourier_cubic_limit(system, *observables, x)
-        elif kind == "fourfold":
-            reference = fourier_host_integral(system, *observables)
-        elif kind == "windowed_sn":
-            f = observables[0]
-            reference = abs(fourier_host_integral(system, f, f, f, f))
-        else:
-            reference = observables[0].coeff(0).real
-    metadata = {"kind": kind, "start": str(as_fraction(x) % 1), "alpha": str(system.alpha), "beta": str(system.beta)}
     table = _frequency_table(system, kind, observables, x)
-    return schedule_report(schedule, lambda N: _window_average(table, kind, N), reference, metadata)
+    reference = _window_average(table, kind, [complex(p % q == 0) for p, q in table[1]]) if system.generic else None
+    metadata = {"kind": kind, "start": str(as_fraction(x) % 1), "alpha": str(system.alpha), "beta": str(system.beta)}
+    return schedule_report(
+        schedule, lambda N: _window_average(table, kind, [_mean_phase(p, q, N) for p, q in table[1]]), reference, metadata
+    )

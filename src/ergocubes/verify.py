@@ -60,7 +60,7 @@ from .averaging import (
     windowed_sn,
     windowed_sn_naive,
 )
-from .torus import TrigPoly, fourier_cubic_limit, fourier_host_integral, sqrt23_system, torus_average, torus_average_naive
+from .torus import TrigPoly, sqrt23_system, torus_average, torus_average_naive, torus_report
 
 
 @dataclass(frozen=True)
@@ -330,9 +330,9 @@ def verify_torus(seed: int, trials: int) -> SuiteResult:
     system = sqrt23_system()
     findings: List[str] = []
     cos1 = TrigPoly.cosine(1)
-    if abs(fourier_host_integral(system, cos1, cos1, cos1, cos1) - 0.125) > 1e-12:
+    if abs(torus_report(system, "fourfold", [cos1] * 4, 0, [1]).rows[0].reference - 0.125) > 1e-12:
         findings.append("four-fold integral of cos^[4] is not 1/8")
-    if abs(fourier_cubic_limit(system, cos1, cos1, cos1, 0) - 0.25) > 1e-12:
+    if abs(torus_report(system, "cubic", [cos1] * 3, 0, [1]).rows[0].reference - 0.25) > 1e-12:
         findings.append("cubic limit of cos^[3] at 0 is not 1/4")
     for trial in range(trials):
         coeffs = {}

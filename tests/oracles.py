@@ -2,8 +2,9 @@
 run them on: every orbit type Z^2 / L of small index (`lattices`) and every
 small union of them (`lattice_unions`).
 
-Every reference here is an older route or a literal loop: a walk one step at
-a time, a brute-force search, a listed measure.  They are the spec, and they
+Every reference here is an older route, a literal loop or a closed form: a
+walk one step at a time, a brute-force search, a listed measure, a Fourier
+limit.  They are the spec, and they
 stay independent of what they check: `tests/test_hygiene.py` holds the
 exact list of names this module imports from ergocubes, and forbids each
 reference to reach the program name it checks.
@@ -13,6 +14,8 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product, starmap
 from random import Random
 from typing import NamedTuple, Tuple
+
+import mpmath
 
 from ergocubes.averaging import check_schedule, cubic_average, windowed_sn
 from ergocubes.core import Observable, PreconditionError
@@ -347,6 +350,33 @@ def three_track_decomposition(sys, f1, f2, f3, x, schedule):
         exact = exact and track_a + track_b == direct
         rows.append(TrackRow(N, track_a, track_b, direct, windowed_sn(sys, mean_zero, x, N)))
     return ThreeTracks(limit, tuple(rows), exact)
+
+
+def fourier_limit(kind, polys, x):
+    """The N -> infinity limit of a torus average of `kind` for a generic
+    rotation pair, from the Fourier closed forms, as a 60-digit mpf.  `polys`
+    are trigonometric polynomials with coefficients `coeffs` {n: c_n}:
+      birkhoff_1d, birkhoff_2d  c(0), the mean;
+      cubic                     sum_n c1(n) c2(n) c3(-n) e(n x);
+      fourfold                  sum_n c0(n) c1(-n) c2(-n) c3(n), the four-fold
+                                self-joining of three independent uniform
+                                coordinates (x0, x1, x2, x1 + x2 - x0);
+      windowed_sn               |the four-fold sum| with f repeated.
+    Each n x is reduced mod 1 as an exact Fraction before it becomes a phase."""
+    with mpmath.workdps(60):
+        c = [{n: mpmath.mpc(v.real, v.imag) for n, v in f.coeffs.items()} for f in polys]
+        if kind == "cubic":
+            total = mpmath.mpc(0)
+            for n, cn in c[0].items():
+                t = (n * F(x)) % 1
+                total += cn * c[1].get(n, 0) * c[2].get(-n, 0) * mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+        elif kind in ("fourfold", "windowed_sn"):
+            f = c * 4 if kind == "windowed_sn" else c
+            total = mpmath.fsum(cn * f[1].get(-n, 0) * f[2].get(-n, 0) * f[3].get(n, 0) for n, cn in f[0].items())
+        else:
+            total = c[0].get(0, mpmath.mpc(0))
+        value = mpmath.re(total)
+        return abs(value) if kind == "windowed_sn" else value
 
 
 def pair_tensor(first, second):

@@ -364,24 +364,34 @@ class TestAverage:
         assert code == 1 and out == ""
         assert err == "error: observables too large: twice the product of their sup bounds overflows a float\n"
 
-    def test_cubic_limit_refuses_a_frequency_past_float_range(self, capsys):
+    def test_cubic_report_at_a_frequency_past_float_range_is_flat(self, capsys):
+        # 10**320 is a multiple of the approximants' denominator 2**128: every
+        # window and the limit are f(1/3)**3 = (-1/2)**3, with no error
         trig = f"--trig={10**320}:0.5:0"
         code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "cubic",
                              trig, trig, trig, "--schedule", "1,2", "--start", "1/3")
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ") and "past float range" in err
+        assert code == 0 and err == "" and len(out.splitlines()) == 3
+        for line in out.splitlines()[1:]:
+            _, value, reference, abs_error = line.split(",")
+            assert value == reference and abs_error == "0.0"
+            assert abs(float(reference) + 0.125) <= 2.0**-48
         code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "birkhoff_1d",
                              trig, "--schedule", "1,2", "--start", "1/3")
         assert code == 0 and err == ""
 
-    def test_cubic_limit_refuses_a_phase_past_float_range(self, capsys):
-        # a float frequency whose phase 2 pi n x is inf (start 1/3) or nan (start 0)
+    def test_cubic_report_at_a_phase_past_float_range_is_flat(self, capsys):
+        # a float frequency n = 2**1023 - 2**970 whose phase 2 pi n x is not a
+        # float; n is a multiple of 2**128 and n = 1 mod 3, so f = 1 + cos(2 pi n t)
+        # is 1/2 at 1/3 and 2 at 0, and the report is flat at f(x)**3
         trig = f"--trig=0:1:0;{int(sys.float_info.max) // 2}:0.5:0"
-        for start in ("1/3", "0"):
+        for start, expected in (("1/3", 0.125), ("0", 8.0)):
             code, out, err = run(capsys, "average", "--builtin", "torus-sqrt23", "--kind", "cubic",
                                  trig, trig, trig, "--schedule", "1,2", "--start", start)
-            assert code == 1 and out == "", start
-            assert err.count("\n") == 1 and err.startswith("error: ") and "past float range" in err, start
+            assert code == 0 and err == "" and len(out.splitlines()) == 3, start
+            for line in out.splitlines()[1:]:
+                _, value, reference, abs_error = line.split(",")
+                assert value == reference and abs_error == "0.0", start
+                assert abs(float(reference) - expected) <= 2.0**-48 * 8, start
 
     def test_finite_start_outside_the_system(self, capsys):
         for kind in ("birkhoff_1d", "birkhoff_2d"):

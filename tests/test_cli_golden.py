@@ -22,6 +22,15 @@ every residue pair of N is crossed) were recorded from the code that still
 walked the orbit grid once per window for the cubic and Birkhoff kinds; the
 `fourfold` and `windowed_sn` runs are their controls.  The recording is the
 spec: it is never re-recorded to agree with a change.
+
+One exception, made for accuracy: the `reference` and `abs_error` columns
+of the two `torus-sqrt23 --kind cubic` runs (start 1/3 at `pow2:0..8`, start
+5/7 at `pow2:30..60`) were re-recorded when the cubic limit stopped rounding
+each phase 2 pi n x as a float and became the report's own frequency table
+at N -> infinity, with every phase reduced exactly.  Against a 50-digit
+evaluation of the limit, the reference's error fell from 3.8e-16 to 5.9e-17
+(start 1/3) and from 3.6e-16 to 2.9e-17 (start 5/7); their `value` columns
+are the recorded bytes.
 """
 
 import json

@@ -44,6 +44,7 @@ REFERENCES = {
     "magic_extension_by_decomposition": ("magic_extension", "cube_over", "is_free"),
     "listed_pushforward": ("product_cube_identification",),
     "three_track_decomposition": ("decompose_and_converge",),
+    "fourier_limit": ("torus_report", "torus_average", "_frequency_table", "_window_average", "_mean_phase"),
 }
 
 

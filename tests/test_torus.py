@@ -1,4 +1,4 @@
-"""Circle-rotation systems, trigonometric observables, and analytic limits."""
+"""Circle-rotation systems, trigonometric observables, and their limits."""
 
 import itertools
 import math
@@ -15,18 +15,17 @@ import pytest
 import ergocubes
 from ergocubes import torus
 from ergocubes.averaging import AVERAGE_KINDS
-from ergocubes.core import DimensionError, PreconditionError
+from ergocubes.core import DimensionError
 from ergocubes.torus import (
     TorusSystem,
     TrigPoly,
-    fourier_cubic_limit,
-    fourier_host_integral,
     sqrt23_system,
     sqrt_fraction,
     torus_average,
     torus_average_naive,
     torus_report,
 )
+from oracles import fourier_limit
 
 F = Fraction
 
@@ -127,95 +126,91 @@ class TestTrigPoly:
         assert poly.degree == 0
 
 
+def reported_limit(kind, observables, x, system=None):
+    """The reference column of a torus report: the frequency table at N -> infinity."""
+    return torus_report(system or sqrt23_system(), kind, observables, x, [1]).rows[0].reference
+
+
 class TestAnalyticOracles:
     def test_cosine_host_integral(self):
-        sys = sqrt23_system()
         cos1 = TrigPoly.cosine(1)
-        assert abs(fourier_host_integral(sys, cos1, cos1, cos1, cos1) - 0.125) < 1e-12
+        assert abs(reported_limit("fourfold", [cos1] * 4, 0) - 0.125) < 1e-12
 
     def test_sine_host_integral(self):
-        sys = sqrt23_system()
         sin1 = TrigPoly.sine(1)
-        assert abs(fourier_host_integral(sys, sin1, sin1, sin1, sin1) - 0.125) < 1e-12
+        assert abs(reported_limit("fourfold", [sin1] * 4, 0) - 0.125) < 1e-12
 
     def test_cosine_cubic_limit(self):
-        sys = sqrt23_system()
         cos1 = TrigPoly.cosine(1)
-        assert abs(fourier_cubic_limit(sys, cos1, cos1, cos1, 0) - 0.25) < 1e-12
-        assert abs(fourier_cubic_limit(sys, cos1, cos1, cos1, F(1, 2)) + 0.25) < 1e-12
+        assert abs(reported_limit("cubic", [cos1] * 3, 0) - 0.25) < 1e-12
+        assert abs(reported_limit("cubic", [cos1] * 3, F(1, 2)) + 0.25) < 1e-12
 
     def test_sine_cubic_limit_is_quarter_sine(self):
-        sys = sqrt23_system()
         sin1 = TrigPoly.sine(1)
         for x in (0.0, 0.1, 0.3, 0.7):
             expected = math.sin(2 * math.pi * x) / 4
-            assert abs(fourier_cubic_limit(sys, sin1, sin1, sin1, F(x).limit_denominator(10**6)) - expected) < 1e-9
+            assert abs(reported_limit("cubic", [sin1] * 3, F(x).limit_denominator(10**6)) - expected) < 1e-9
 
-    def test_cubic_limit_refuses_frequencies_past_float_range(self):
-        sys = sqrt23_system()
+    def test_frequencies_past_float_range_at_the_denominator_give_a_flat_report(self):
+        # 10**320 is a multiple of the approximants' denominator 2**128, so
+        # cos(2 pi 10**320 t) is invariant under both stored rotations: every
+        # window and the limit are f(1/3)**3 = (-1/2)**3
         huge = TrigPoly.cosine(10**320)
-        with pytest.raises(ValueError, match="frequency of 1064 bits is past float range"):
-            fourier_cubic_limit(sys, huge, huge, huge, F(1, 3))
-        # only frequencies whose coefficient product is nonzero are rounded
+        report = torus_report(sqrt23_system(), "cubic", [huge] * 3, F(1, 3), [1, 2, 2**60])
+        for row in report.rows:
+            assert row.value == row.reference and row.abs_error == 0.0, row.N
+            assert abs(row.reference + 0.125) <= 2.0**-48, row.N
+        # frequencies that are not multiples contribute nothing to the limit
         cos1 = TrigPoly.cosine(1)
-        assert fourier_cubic_limit(sys, huge + cos1, cos1, cos1, 0) == fourier_cubic_limit(sys, cos1, cos1, cos1, 0)
+        assert reported_limit("cubic", [huge + cos1, cos1, cos1], 0) == reported_limit("cubic", [cos1] * 3, 0)
 
-    def test_cubic_limit_refuses_a_phase_past_float_range(self):
-        # the frequency is a float, but 2 pi n x is not: inf for x = 1/3, nan for x = 0
+    def test_a_phase_past_float_range_at_the_denominator_gives_a_flat_report(self):
+        # n = (largest float) // 2 = 2**1023 - 2**970 is a float, 2 pi n x is
+        # not, and n is a multiple of 2**128: f = 1 + cos(2 pi n t) has
+        # f(0) = 2 and f(1/3) = 1/2, since n = 1 mod 3
         huge = TrigPoly.cosine(int(sys.float_info.max) // 2) + TrigPoly.constant(1.0)
-        for x in (F(1, 3), 0):
-            with pytest.raises(ValueError, match="frequency of 1023 bits is past float range"):
-                fourier_cubic_limit(sqrt23_system(), huge, huge, huge, x)
-
-    def test_oracles_require_generic_declaration(self):
-        rational = TorusSystem(F(1, 3), F(1, 5))
-        cos1 = TrigPoly.cosine(1)
-        with pytest.raises(PreconditionError, match="generic rotation pair"):
-            fourier_host_integral(rational, cos1, cos1, cos1, cos1)
-        with pytest.raises(PreconditionError, match="generic rotation pair"):
-            fourier_cubic_limit(rational, cos1, cos1, cos1, 0)
+        for x, expected in ((F(1, 3), 0.125), (0, 8.0)):
+            report = torus_report(sqrt23_system(), "cubic", [huge] * 3, x, [1, 2, 2**60])
+            for row in report.rows:
+                assert row.value == row.reference and row.abs_error == 0.0, (x, row.N)
+                assert abs(row.reference - expected) <= 2.0**-48 * huge.sup_bound**3, (x, row.N)
 
 
-def mp_coeff(c):
-    return mpmath.mpc(c.real, c.imag)
+def shared_frequency_polys(rng, count, max_freq, scale):
+    """`count` polynomials on one shared set of up to three frequencies in
+    1..max_freq (none when max_freq is 0), so the frequencies that the closed
+    forms pair up are present in every factor."""
+    freqs = sorted({rng.randint(1, max_freq) for _ in range(3)}) if max_freq else []
+    polys = []
+    for _ in range(count):
+        poly = TrigPoly.constant(rng.uniform(-scale, scale))
+        for n in freqs:
+            poly = poly + TrigPoly.cosine(n, rng.uniform(-scale, scale)) + TrigPoly.sine(n, rng.uniform(-scale, scale))
+        polys.append(poly)
+    return polys
 
 
 class TestReferenceErrorBounds:
-    """The stated bounds of the two analytic references against a 40-digit
-    evaluation of the same sums at the same float coefficients.  Neither
-    formula reads the rotation amounts, so the rational pair is declared
-    generic only to reach them."""
+    """The stated bound of every report's reference, 2**-48 times the product
+    of the observables' sup bounds (f.sup_bound ** 4 for windowed_sn), for
+    every degree, against a 60-digit evaluation of the Fourier closed forms
+    (`oracles.fourier_limit`).  Frequencies reach 2**60; every frequency
+    combination stays below the approximants' denominator 2**128, so the
+    limit at the stored rotation amounts is the closed form."""
 
-    SYSTEMS = (sqrt23_system(), TorusSystem(F(1, 3), F(2, 7), generic=True))
-    SHAPES = [(max_freq, scale) for max_freq in (0, 1, 3, 12) for scale in (1.0, 1e-3, 1e5)]
+    SYSTEMS = (sqrt23_system(), TorusSystem(sqrt_fraction(5) - 2, sqrt_fraction(7) - 2, generic=True))
+    SHAPES = [(max_freq, scale) for max_freq in (0, 3, 2**12, 2**60) for scale in (1.0, 1e-3, 1e5)]
 
-    def test_host_integral(self):
+    @pytest.mark.parametrize("kind", list(AVERAGE_KINDS))
+    def test_reference_within_the_degree_free_bound(self, kind):
         rng = Random(461)
-        for sys in self.SYSTEMS:
+        for system in self.SYSTEMS:
             for max_freq, scale in self.SHAPES:
-                fs = [random_poly(rng, max_freq, scale) for _ in range(4)]
-                bound = 2.0**-48 * math.prod(f.sup_bound for f in fs)
-                with mpmath.workdps(40):
-                    exact = mpmath.fsum(
-                        mp_coeff(fs[0].coeff(n)) * mp_coeff(fs[1].coeff(-n)) * mp_coeff(fs[2].coeff(-n)) * mp_coeff(fs[3].coeff(n))
-                        for n in fs[0].coeffs
-                    ).real
-                    assert abs(fourier_host_integral(sys, *fs) - exact) <= bound, (max_freq, scale)
-
-    def test_cubic_limit(self):
-        rng = Random(463)
-        for sys in self.SYSTEMS:
-            for max_freq, scale in self.SHAPES:
-                f1, f2, f3 = (random_poly(rng, max_freq, scale) for _ in range(3))
-                bound = (1 + f1.degree) * 2.0**-46 * f1.sup_bound * f2.sup_bound * f3.sup_bound
+                obs = shared_frequency_polys(rng, AVERAGE_KINDS[kind], max_freq, scale)
+                bound = 2.0**-48 * math.prod(f.sup_bound for f in obs * (4 if kind == "windowed_sn" else 1))
                 for x in (0, F(1, 2), F(5, 7), F(rng.randrange(10**15), 10**15 + 37)):
-                    with mpmath.workdps(40):
-                        theta = mpmath.mpf(x.numerator) / x.denominator
-                        exact = mpmath.fsum(
-                            mp_coeff(f1.coeff(n)) * mp_coeff(f2.coeff(n)) * mp_coeff(f3.coeff(-n)) * mpmath.expjpi(2 * n * theta)
-                            for n in f1.coeffs
-                        ).real
-                        assert abs(fourier_cubic_limit(sys, f1, f2, f3, x) - exact) <= bound, (max_freq, scale, x)
+                    exact = fourier_limit(kind, obs, x)
+                    assert abs(reported_limit(kind, obs, x, system) - exact) <= bound, (max_freq, scale, x)
 
 
 class TestTorusAverages:
@@ -234,14 +229,14 @@ class TestTorusAverages:
     def test_cubic_approaches_analytic_limit(self):
         sys = sqrt23_system()
         cos1 = TrigPoly.cosine(1)
-        limit = fourier_cubic_limit(sys, cos1, cos1, cos1, 0)
+        limit = fourier_limit("cubic", [cos1] * 3, 0)
         value = torus_average(sys, "cubic", [cos1, cos1, cos1], 0, 4096)
         assert abs(value - limit) < 2e-2
 
     def test_fourfold_approaches_host_integral(self):
         sys = sqrt23_system()
         sin1 = TrigPoly.sine(1)
-        target = fourier_host_integral(sys, sin1, sin1, sin1, sin1)
+        target = fourier_limit("fourfold", [sin1] * 4, F(1, 3))
         value = torus_average(sys, "fourfold", [sin1] * 4, F(1, 3), 2048)
         assert abs(value - target) < 2e-2
 
@@ -286,14 +281,7 @@ class TestTorusAverages:
         x = F(2, 11)
         for kind, arity in AVERAGE_KINDS.items():
             obs = [random_poly(rng, max_freq=2) for _ in range(arity)]
-            if kind == "cubic":
-                limit = fourier_cubic_limit(sys, *obs, x)
-            elif kind == "fourfold":
-                limit = fourier_host_integral(sys, *obs)
-            elif kind == "windowed_sn":
-                limit = abs(fourier_host_integral(sys, *obs * 4))
-            else:
-                limit = obs[0].coeff(0).real
+            limit = fourier_limit(kind, obs, x)
             value = torus_average(sys, kind, obs, x, 2**40)
             assert math.isfinite(value), kind
             assert abs(value - limit) < 2e-2, kind
