@@ -362,10 +362,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_cube(args) -> int:
-    if args.identify_with and (args.schedule is not None or args.starts is not None):
-        raise CliError("--schedule and --starts do not apply to --identify-with")
-    if args.starts is not None and args.schedule is None:
-        raise CliError("--starts needs --schedule")
+    if args.identify_with and args.schedule is not None:
+        raise CliError("--schedule does not apply to --identify-with")
     system = _load_system(args)
     if isinstance(system, TorusSystem):
         raise CliError("cube structure reports work on finite systems")
@@ -399,13 +397,6 @@ def cmd_cube(args) -> int:
         schedule = _parse_schedule(args.schedule)
         if orbit_count != 1:
             raise CliError("empirical comparison against the uniform measure needs a transitive cube space")
-        try:
-            starts = [] if args.starts in (None, "all") else [int(s) for s in args.starts.split(",")]
-        except ValueError:
-            raise CliError(f"--starts must be 'all' or comma-separated quadruple indices, got {args.starts!r}")
-        for x in starts:
-            if not 0 <= x < quadruples:
-                raise CliError(f"start point {x} outside 0..{quadruples - 1}")
         lines.append("empirical deviation from uniform (worst start):")
         for N in schedule:
             value = uniform_cube_deviation(system, N)
@@ -470,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cube", help="quadruple space structure and empirical averages")
     add_common(p)
     p.add_argument("--schedule", help="deviation of box-averaged quadruples from uniform at these window sizes")
-    p.add_argument("--starts", help="'all' (the default) or comma-separated quadruple indices; needs --schedule")
     p.add_argument("--identify-with", metavar="FILE",
                    help="second factor file: check the product identification instead")
 

@@ -171,7 +171,7 @@ def product_cube_identification(first: FiniteMPS, second: FiniteMPS) -> ProductC
             for yp, y_mass in y_measure.entries.items()
             for wp, w_mass in w_measure.entries.items()
         }
-        measure_matches = {key: Fraction(v, hm.d * hm.lcm) for key, v in pushed.items()} == tensor
+        measure_matches = {key: Fraction(v, hm.den) for key, v in pushed.items()} == tensor
 
     return ProductCubeReport(
         product=prod,

@@ -125,10 +125,10 @@ class FiniteMPS:
         """The structure derived under `key`: `build(*args)` once per system.
 
         Only structure is memoized (the cycle tables of S and T, the joint
-        orbit partition, orbit grids, the host measure, the seminorm kernel
-        basis), never a verdict, and
-        no value may refer back to the system, so a system is freed with its
-        memo as soon as its last reference goes.
+        orbit partition, orbit grids, the host measure, which holds the grids
+        of the joint orbits' first points, the seminorm kernel basis), never
+        a verdict, and no value may refer back to the system, so a system is
+        freed with its memo as soon as its last reference goes.
         """
         try:
             return self._memo[key]

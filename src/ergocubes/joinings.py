@@ -11,18 +11,25 @@ On finite systems invariant algebras are orbit partitions and conditional
 expectations are block averages, so every identity here is exact.
 
 The four-fold measure factors over the (T x T)-orbits C of supp mu_S, as
-mu_{S,T}((a,b),(c,d)) = mu_S(a,b) mu_S(c,d) / mu_S(C) on C x C.  Each orbit
-is C = {(T^j y, S^k T^j y) : j < |tau|} for one T-orbit tau, y its first
-point, and one k < a_y (T x T moves j and keeps k), so |C| = |tau|.  On an
-S-orbit O, mu_S(a,b) = w(a) w(b) / w(O), and w(O) is constant along C.  So
-the integrals sum_C L_C R_C / mu_S(C) are summed in ints at the cost of
-|supp mu_S| (`host_integral`), and masses are listed only on demand (`mu_st`).
+mu_{S,T}(p, q) = mu_S(p) mu_S(q) / mu_S(C) on C x C, and is read off one
+orbit grid per joint orbit J.  Let y be the first point of J, grid =
+orbit_grid(y) with S- and T-cycle lengths a and b, and p = |J| / b.  Row r
+is the T-orbit of S^r y, and S^r y is on the T-orbit of y exactly for r in
+the subgroup p Z_a, so rows m < p are the p T-orbits of J.  T x T moves j
+and keeps k in the pair (grid[m][j], grid[(m + k) % a][j]) = (z, S^k z), so
+the orbits in J are C = zip(grid[m], grid[(m + k) % a]) for m < p, k < a,
+each of b pairs.  The weights are S- and T-invariant, so they are one u / d
+on J, and an S-orbit has a points: mu_S(z, S^k z) = (u/d)^2 / (a u/d) =
+u / (d a), mu_S(C) = b u / (d a), and mu_{S,T} = u / (d a b) on every
+C x C.  So the integrals sum_C L_C R_C / mu_S(C) are grid-row dot products
+summed in ints (`host_integral`), and masses are listed only on demand
+(`mu_st`).  The total mass is sum_J p a b^2 u / (d a b) = sum_J |J| u / d = 1.
 
 So supp mu_{S,T}, the union of the C x C, is the cube space on every system.
-Two pairs p = (T^j y, S^k T^j y) and q = (T^j' y, S^k T^j' y) of one orbit C
-form the cube (x, S^k x, T^m x, S^k T^m x), with x = T^j y and m = j' - j.
-Conversely the cube (x, S^i x, T^m x, S^i T^m x) is the pair p = (x, S^i x)
-followed by q = (T x T)^m p, in the orbit of p, and its mass is positive
+Two pairs (T^j z, S^k T^j z) and (T^j' z, S^k T^j' z) of one orbit C form
+the cube (x, S^k x, T^i x, S^k T^i x), with x = T^j z and i = j' - j.
+Conversely the cube (x, S^k x, T^i x, S^k T^i x) is the pair (x, S^k x)
+followed by its (T x T)^i image, in the same orbit, and its mass is positive
 because every weight is.  This is why `cube` prints its support line as a
 constant.
 
@@ -51,10 +58,11 @@ and on a finite ergodic base these are known in closed form:
 
 from __future__ import annotations
 
-import math
+from math import lcm
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -72,6 +80,7 @@ from .finite import (
     is_ergodic,
     is_free,
     partition_s,
+    partition_st,
     partition_t,
 )
 from .linalg import exact_null_space
@@ -158,36 +167,40 @@ def rel_indep_square(sys: FiniteMPS) -> SparseMeasure:
 class HostMeasure:
     """mu_{S,T} factored in integers; its masses `mu_st` are listed on first access.
 
-    `orbits` holds the (T x T)-orbits C of supp mu_S as pair lists.  With the
-    weights as integers `u` over one `d`, U_C the u-sum of the S-orbit of C,
-    P_C the sum of u(a) u(b) over C and `inverse` lcm / (U_C P_C) per orbit:
-    mu_S(a, b) = u(a) u(b) / (d U_C), mu_S(C) = P_C / (d U_C), and
-    mu_{S,T}(p, q) = u(p) u(q) inverse_C / (d lcm), where u(a, b) = u(a) u(b).
+    `parts` holds one (mass, p, grid) per joint orbit J: `grid` is the orbit
+    grid of the first point of J, a x b, and rows m < p are the T-orbits of J.
+    The (T x T)-orbits of supp mu_S in J are zip(grid[m], grid[(m + k) % a])
+    for m < p, k < a, and mu_{S,T} is u / (d a b) on each C x C, u / d the
+    weight on J (see the module docstring).  With L the lcm of the a b,
+    `den` = d L and `mass` = u L / (a b), so mu_{S,T} = mass / den on C x C.
     """
 
     n: int
-    u: Tuple[int, ...]
-    d: int
-    orbits: Tuple[Tuple[Tuple[int, int], ...], ...]
-    inverse: Tuple[int, ...]
-    lcm: int
+    den: int
+    parts: Tuple[Tuple[int, int, Tuple[Tuple[int, ...], ...]], ...]
+
+    def orbits(self) -> Iterator[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+        """(mass, C) for each (T x T)-orbit C of supp mu_S, C as its pair list."""
+        for mass, p, grid in self.parts:
+            a = len(grid)
+            for m in range(p):
+                for k in range(a):
+                    yield mass, tuple(zip(grid[m], grid[(m + k) % a]))
 
     def quadruple_support(self) -> Set[Quad]:
         """supp mu_{S,T}: the quadruples p + q for pairs p, q in one orbit,
         listed without computing their masses."""
-        return {p + q for orbit in self.orbits for p in orbit for q in orbit}
+        return {p + q for _, orbit in self.orbits() for p in orbit for q in orbit}
 
     def scaled_masses(self) -> Iterator[Tuple[Quad, int]]:
-        """(p + q, u(p) u(q) inverse_C) for the pairs p, q of each orbit C,
-        orbit by orbit: the masses of mu_{S,T} times d lcm."""
-        for orbit, inverse in zip(self.orbits, self.inverse):
-            pairs = [(p, self.u[p[0]] * self.u[p[1]]) for p in orbit]
-            yield from ((p + q, mp * mq * inverse) for p, mp in pairs for q, mq in pairs)
+        """(p + q, mass) for the pairs p, q of each orbit C, orbit by orbit:
+        the masses of mu_{S,T} times `den`."""
+        for mass, orbit in self.orbits():
+            yield from ((p + q, mass) for p in orbit for q in orbit)
 
     @cached_property
     def mu_st(self) -> SparseMeasure:
-        den = self.d * self.lcm
-        return SparseMeasure(4, self.n, {quad: Fraction(mass, den) for quad, mass in self.scaled_masses()})
+        return SparseMeasure(4, self.n, {quad: Fraction(mass, self.den) for quad, mass in self.scaled_masses()})
 
 
 def host_measure(sys: FiniteMPS) -> HostMeasure:
@@ -198,37 +211,29 @@ def host_measure(sys: FiniteMPS) -> HostMeasure:
 
 def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
     u, d = common_denominator(sys.weights)
-    orbits, pair_mass, masses = [], [], []
-    for block in partition_t(sys).blocks():
-        _, _, grid = sys.orbit_grid(block[0])  # row k: the orbit {(T^j y, S^k T^j y)}, y = block[0]
-        s_weight = sum(u[row[0]] for row in grid)
-        for row in grid:
-            orbits.append(tuple(zip(grid[0], row)))
-            pair_mass.append(sum(u[a] * u[b] for a, b in orbits[-1]))
-            masses.append(s_weight * pair_mass[-1])
-    lcm = math.lcm(*masses)
-    inverse = [lcm // m for m in masses]
-    if sum(p * p * k for p, k in zip(pair_mass, inverse)) != d * lcm:  # the mass of mu_S and of mu_{S,T}
-        raise ValueError("host measure: total mass is not exactly 1")
-    return HostMeasure(sys.n, tuple(u), d, tuple(orbits), tuple(inverse), lcm)
+    joint = [(block, *sys.orbit_grid(block[0])) for block in partition_st(sys).blocks()]
+    common = lcm(*(a * b for _, a, b, _ in joint))
+    parts = tuple((u[block[0]] * (common // (a * b)), len(block) // b, grid) for block, a, b, grid in joint)
+    return HostMeasure(sys.n, d * common, parts)
 
 
 def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
-    """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}: sum_C L_C R_C / mu_S(C),
-    with L_C, R_C the orbit sums of mu_S(a,b) f1(a) f2(b) and mu_S(a,b) f3(a) f4(b).
-    In integers (`HostMeasure`, `Observable.scaled`) that is the sum of l_C r_C inverse_C
-    over d lcm d1 d2 d3 d4, l_C the orbit sum of u(a) F1(a) u(b) F2(b), r_C likewise."""
+    """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}.
+
+    On C x C the mass is constant, so the integral over it is mass times
+    <F1[m], F2[r]> <F3[m], F4[r]>, F_i the numerators of f_i (`Observable.scaled`)
+    along the grid rows and r = (m + k) % a; k < a runs r over every row.  All
+    of it is summed in ints over den d1 d2 d3 d4."""
     if len(fs) != 4 or any(f.n != hm.n for f in fs):
         raise DimensionError(f"need 4 observables on {hm.n} points")
-    (g1, d1), (g2, d2), (g3, d3), (g4, d4) = (
-        ([w * v for w, v in zip(hm.u, nums)], den) for nums, den in (f.scaled for f in fs)
-    )
+    (g1, d1), (g2, d2), (g3, d3), (g4, d4) = (f.scaled for f in fs)
     total = 0
-    for orbit, inverse in zip(hm.orbits, hm.inverse):
-        left = sum(g1[a] * g2[b] for a, b in orbit)
-        right = sum(g3[a] * g4[b] for a, b in orbit)
-        total += left * right * inverse
-    return Fraction(total, hm.d * hm.lcm * d1 * d2 * d3 * d4)
+    for mass, p, grid in hm.parts:
+        r1, r2, r3, r4 = ([[g[x] for x in row] for row in grid] for g in (g1, g2, g3, g4))
+        total += mass * sum(
+            sum(map(mul, r1[m], row2)) * sum(map(mul, r3[m], row4)) for m in range(p) for row2, row4 in zip(r2, r4)
+        )
+    return Fraction(total, hm.den * d1 * d2 * d3 * d4)
 
 
 class SeminormValue(NamedTuple):

@@ -572,40 +572,25 @@ class TestCube:
 
     def test_empirical_schedule(self, capsys):
         code, out, _ = run(
-            capsys, "cube", "--builtin", "z4-diagonal", "--schedule", "1,4,8", "--starts", "0,5"
+            capsys, "cube", "--builtin", "z4-diagonal", "--schedule", "1,4,8"
         )
         assert code == 0
         assert "empirical deviation from uniform (worst start):" in out
         assert "N=4: 0/1" in out
         assert "N=8: 0/1" in out
 
-    def test_bad_starts(self, capsys):
-        base = ["cube", "--builtin", "grid-2x3", "--schedule", "4"]
-        code, out, err = run(capsys, *base, "--starts", "x")
-        assert code == 1 and out == ""
-        assert err == "error: --starts must be 'all' or comma-separated quadruple indices, got 'x'\n"
-        code, out, err = run(capsys, *base, "--starts", "0,9999")
-        assert code == 1 and out == ""
-        assert err == "error: start point 9999 outside 0..107\n"
-
-    def test_starts_default_to_all(self, capsys):
-        base = ["cube", "--builtin", "grid-2x3", "--schedule", "1,3"]
-        assert run(capsys, *base) == run(capsys, *base, "--starts", "all")
-
-    def test_starts_need_a_schedule(self, capsys):
-        code, out, err = run(capsys, "cube", "--builtin", "grid-2x3", "--starts", "0")
-        assert (code, out, err) == (1, "", "error: --starts needs --schedule\n")
+    def test_empty_schedule_is_refused(self, capsys):
         code, out, err = run(capsys, "cube", "--builtin", "grid-2x3", "--schedule", "")
         assert (code, out) == (1, "")
         assert err.startswith("error: bad schedule '': ") and err.count("\n") == 1
 
-    def test_identification_rejects_schedule_and_starts(self, capsys, tmp_path):
+    def test_identification_rejects_a_schedule(self, capsys, tmp_path):
         first = write_system(tmp_path / "s.json", translation_system(2, 1, (1, 0), (0, 0)))
         second = write_system(tmp_path / "t.json", translation_system(3, 1, (0, 0), (1, 0)))
         base = ["cube", "--system", first, "--identify-with", second]
-        for extra in (["--schedule", "1,4"], ["--schedule", ""], ["--starts", "all"], ["--schedule", "4", "--starts", "0"]):
-            code, out, err = run(capsys, *base, *extra)
-            assert (code, out, err) == (1, "", "error: --schedule and --starts do not apply to --identify-with\n")
+        for schedule in ("1,4", ""):
+            code, out, err = run(capsys, *base, "--schedule", schedule)
+            assert (code, out, err) == (1, "", "error: --schedule does not apply to --identify-with\n")
 
     def test_schedule_needs_a_transitive_cube_space(self, capsys, tmp_path, monkeypatch):
         # two 2-cycles under S, T the identity: two components, so two orbits

@@ -66,7 +66,6 @@ values = {
     "--kind": st.sampled_from(["cubic", "fourfold", "windowed_sn", "birkhoff_1d", "birkhoff_2d", "sextic"]),
     "--format": st.sampled_from(["csv", "text", "xml"]),
     "--tolerance": st.sampled_from(["0.1", "0", "nan", "inf", "-1", "x"]),
-    "--starts": st.sampled_from(["all", "0", "0,1", "x", "-1", "0,9999", ""]),
     "--builtin": st.sampled_from(["z4-diagonal", "grid-2x3", "torus-sqrt23", "nonesuch"]),
     "--suite": st.sampled_from(["core", "finite", "averaging", "nonesuch"]),
     "--trials": st.sampled_from(["0", "1", "-1", "x"]),
@@ -76,7 +75,7 @@ FLAGS = {
     "analyze": [],
     "average": ["--kind", "--observable", "--trig", "--start", "--schedule", "--format", "--tolerance"],
     "extend": [],
-    "cube": ["--schedule", "--starts"],
+    "cube": ["--schedule"],
     "verify": ["--suite", "--trials", "--seed"],
 }
 

@@ -14,9 +14,11 @@ code that still reduced every torus phase as a `Fraction`; they pin the float
 bits where N times a 128-bit rotation amount must be reduced exactly.  The
 `cube --identify-with` runs were recorded from the code that still pushed the
 listed quadruple measure forward to the factor pairs.  The `cube --system
-z12-s1-t3.json` and `cube --builtin grid-2x3 ... --starts 0,107` schedule
+z12-s1-t3.json` and `cube --builtin grid-2x3 ... 1099511627776` schedule
 runs were recorded from the code that still listed the cube space and ran
-the general empirical engine for `cube --schedule`.  The `average --system
+the general empirical engine for `cube --schedule`.  That run and the
+`z4-diagonal --schedule 1,4,8` run were recorded with a `--starts` option,
+which changed no output; when it went, their keys lost only those words.  The `average --system
 z12-s1-t3.json` runs (a = 12, b = 4, windows 1..30, 2^40 and 2^60 + 1, so
 every residue pair of N is crossed) were recorded from the code that still
 walked the orbit grid once per window for the cubic and Birkhoff kinds; the
@@ -66,7 +68,7 @@ GOLDEN_ARGVS += [
 ]
 GOLDEN_ARGVS += [
     ["cube", "--builtin", "grid-2x3", "--schedule", "1,4,8"],
-    ["cube", "--builtin", "z4-diagonal", "--schedule", "1,4,8", "--starts", "0,5"],
+    ["cube", "--builtin", "z4-diagonal", "--schedule", "1,4,8"],
     ["cube", "--builtin", "product-2x3"],
     ["cube", "--builtin", "z4-diagonal"],
     ["cube", "--builtin", "grid-2x3"],
@@ -74,7 +76,7 @@ GOLDEN_ARGVS += [
     ["cube", "--system", "z5-s2.json", "--identify-with", "z3-t1.json"],
     ["cube", "--system", "z4-s1.json", "--identify-with", "z6-t5.json"],
     ["cube", "--system", "z12-s1-t3.json", "--schedule", "1,2,3,5,7,16,31,4096"],
-    ["cube", "--builtin", "grid-2x3", "--schedule", "1,2,3,5,7,1099511627776", "--starts", "0,107"],
+    ["cube", "--builtin", "grid-2x3", "--schedule", "1,2,3,5,7,1099511627776"],
 ]
 # The system files the `--system` runs read, written to the working directory.
 FACTORS = {

@@ -75,12 +75,12 @@ class TestCubeSpace:
         # the host measure's orbits carry sum |C|^2 quadruples, the size of the
         # listed cube space; `analyze` and `cube` print it as sum_x a_x b_x
         for sys in lattices(9) + lattice_unions(6) + (product_grid(6, 6),):
-            assert sum(len(orbit) ** 2 for orbit in host_measure(sys).orbits) == cube_space(sys).size
+            assert sum(len(orbit) ** 2 for _, orbit in host_measure(sys).orbits()) == cube_space(sys).size
 
     def test_size_by_hand(self):
         # Z_6 with S = +1, T = +2: 6 points, each with a 6 x 3 cube
         sys = translation_system(6, 1, (1, 0), (2, 0))
-        assert sum(len(orbit) ** 2 for orbit in host_measure(sys).orbits) == 108
+        assert sum(len(orbit) ** 2 for _, orbit in host_measure(sys).orbits()) == 108
         assert cube_space(sys).size == 108
 
     def test_orbit_built_support_matches_the_listed_quadruples(self):
@@ -230,7 +230,8 @@ class TestProductIdentification:
     def test_measure_check_matches_the_listed_pushforward(self, monkeypatch):
         # the verdict against mu_{S,T} listed quadruple by quadruple and pushed
         # to the factor pairs, on the true measure and on a skewed probability:
-        # half the mass of the third orbit moved onto the second, of equal mass
+        # each joint orbit's mass moved onto its first T-orbit, which keeps the
+        # support inside the cube space
         factors = [
             (translation_system(5, 1, (2, 0), (0, 0)), translation_system(3, 1, (0, 0), (1, 0))),
             (translation_system(4, 1, (1, 0), (0, 0)), translation_system(6, 1, (0, 0), (5, 0))),
@@ -240,10 +241,7 @@ class TestProductIdentification:
             hm = host_measure(product_system(first, second))
             assert listed_pushforward(hm, second.n) == pair_tensor(first, second)
             assert product_cube_identification(first, second).measure_matches
-            inverse = hm.inverse
-            assert inverse[1] == inverse[2] and len(hm.orbits[1]) == len(hm.orbits[2])
-            moved = (2 * inverse[0], 3 * inverse[1], inverse[2], *(2 * k for k in inverse[3:]))
-            skewed = replace(hm, lcm=2 * hm.lcm, inverse=moved)
+            skewed = replace(hm, parts=tuple((mass * p, 1, grid) for mass, p, grid in hm.parts))
             assert listed_pushforward(skewed, second.n) != pair_tensor(first, second)
             with monkeypatch.context() as patch:
                 patch.setattr(cubes, "host_measure", lambda sys: skewed)

@@ -38,8 +38,8 @@ REFERENCES = {
     "cycle_patterns": ("cube_space", "cube_over", "host_measure"),
     "autocorrelation_fourth_power": ("host_seminorm", "host_integral", "host_measure"),
     "is_free_brute": ("is_free",),
-    "closure_orbits": ("host_measure",),
-    "listed_mu_st": ("host_measure",),
+    "closure_orbits": ("host_measure", "orbit_grid", "partition_st"),
+    "listed_mu_st": ("host_measure", "orbit_grid", "partition_st"),
     "measurable_by_spread": ("measurability_check", "host_measure", "invariant_w"),
     "magic_extension_by_decomposition": ("magic_extension", "cube_over", "is_free"),
     "listed_pushforward": ("product_cube_identification",),
@@ -324,7 +324,7 @@ def test_the_independence_scan_sees_a_forbidden_import_a_stale_entry_and_a_reach
     references = {
         "is_free_brute": ("is_free",),
         "literal_cycle_length": ("orbit_grid",),
-        "closure_orbits": ("host_measure",),
+        "closure_orbits": ("host_measure", "orbit_grid", "partition_st"),
         "literal_box_hits": ("box_hits",),
         "measurable_by_spread": ("measurability_check",),
     }

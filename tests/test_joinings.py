@@ -24,6 +24,7 @@ from ergocubes.finite import (
     is_ergodic,
     is_free,
     partition_s,
+    partition_st,
     partition_t,
     product_grid,
     random_ergodic_system,
@@ -148,11 +149,8 @@ class TestQuadrupleMeasure:
 
         def mutated(sys, fs):
             # the weights are put over one denominator when the host measure
-            # is built; its total-mass check may refuse the wrong numerators
-            try:
-                return host_integral(joinings._build_host_measure(sys), fs)
-            except ValueError:
-                return None
+            # is built; wrong numerators give each joint orbit a wrong mass
+            return host_integral(joinings._build_host_measure(sys), fs)
 
         monkeypatch.setattr(joinings, "common_denominator", largest_denominator)
         assert any(mutated(sys, fs) != listed for sys, fs, listed in cases)
@@ -392,9 +390,19 @@ class TestPairLayer:
     def test_orbits_are_the_closure_of_the_pair_support(self):
         for sys in lattices(24) + lattice_unions(8) + (product_grid(6, 6),):
             hm = host_measure(sys)
-            orbits = {frozenset(orbit) for orbit in hm.orbits}
-            assert len(orbits) == len(hm.orbits) and orbits == closure_orbits(sys)
-            assert all(len(orbit) == len(set(orbit)) for orbit in hm.orbits)
+            listed = [orbit for _, orbit in hm.orbits()]
+            orbits = {frozenset(orbit) for orbit in listed}
+            assert len(orbits) == len(listed) and orbits == closure_orbits(sys)
+            assert all(len(orbit) == len(set(orbit)) for orbit in listed)
+
+    def test_one_grid_per_joint_orbit(self):
+        # the host measure keeps the orbit grid of each joint orbit's first
+        # point and p = |J| / b, nothing per pair
+        for sys in lattices(12) + lattice_unions(6) + (product_grid(6, 6),):
+            hm = host_measure(sys)
+            firsts = [block[0] for block in partition_st(sys).blocks()]
+            assert [grid for _, _, grid in hm.parts] == [sys.orbit_grid(y)[2] for y in firsts]
+            assert sum(p * len(grid[0]) for _, p, grid in hm.parts) == sys.n
 
     def test_measurability_matches_the_spread_check(self):
         systems = lattices(16) + lattice_unions(7) + (product_grid(6, 6),)
@@ -428,6 +436,20 @@ class TestPairLayer:
         finally:
             tracemalloc.stop()
         assert peak < 25_000_000
+
+    def test_the_host_integral_stays_small_on_the_z120_fiber_shape(self):
+        # product_grid(120, 40) is the fiber shape of the Z_120 extension:
+        # 4,800 points in one joint orbit and 576,000 pairs in its
+        # (T x T)-orbits; listed as pair tuples they peaked at 44 MB
+        sys = product_grid(120, 40)
+        f = Observable(tuple(F(x % 7 - 3, x % 5 + 1) for x in range(sys.n)))
+        tracemalloc.start()
+        try:
+            value = host_integral(host_measure(sys), (f, f, f, f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value > 0 and peak < 5_000_000
 
 
 class TestMeasurability:
