@@ -11,16 +11,19 @@ taken in integers: each observable is scaled once, on first use, to integer
 numerators over one common denominator (`Observable.scaled`), and each
 returned value is the one `Fraction` of the integer sum over the window
 volume times those denominators.  The linear kinds, the cubic average and
-the Birkhoff averages along S and along (S, T), weight one integer grid by
-the counts in i and in j, so `_linear_table` builds the grid's prefix sums
-once per report and reads each window from four of them; `run_average`,
-`cubic_average` and `decompose_and_converge` all evaluate it.  The
-quadratic kinds (`fourfold_average`, `windowed_sn`) keep a per-window
-kernel, and the S_N sum (`sn_sum`) is shared with the exhaustive bound
-sweep.  Point-mass box averages along arbitrary generators,
-`birkhoff_average` here and the empirical engine in `cubes`, count hits
-with `box_hits`; every per-N result, the decomposition's included, is a
-`ConvergenceReport` from `schedule_report`.
+the Birkhoff averages along S and along (S, T), weight one integer table by
+the counts in i and in j (along S it is the grid's a x 1 column), so
+`_linear_table` builds its prefix sums once per report and reads each window
+from four of them with one formula; `run_average`, `cubic_average` and
+`decompose_and_converge` all evaluate it.  The quadratic kinds
+(`fourfold_average`, `windowed_sn`) keep a per-window kernel, which
+`run_average` calls directly against its joining integral, and the S_N sum
+(`sn_sum`) is shared with the exhaustive bound sweep.  The decomposition
+checks that its system is magic as `measurability_check`, a discrete W.
+Point-mass box averages along arbitrary generators, `birkhoff_average` here
+and the empirical engine in `cubes`, count hits with `box_hits`; every per-N
+result, the decomposition's included, is a `ConvergenceReport` from
+`schedule_report`, printed by one row formatter as CSV or text.
 Literal-loop references (`*_naive`) are kept for equality testing.
 """
 
@@ -50,7 +53,7 @@ from .finite import (
     partition_s,
     partition_t,
 )
-from .joinings import host_integral, host_measure, host_seminorm, is_magic
+from .joinings import host_integral, host_measure, host_seminorm, measurability_check
 
 Value = Union[Fraction, float]
 
@@ -83,25 +86,17 @@ class ConvergenceReport:
     rows: Tuple[ReportRow, ...]
     metadata: Dict[str, object] = field(default_factory=dict, compare=False)
 
+    def _table(self, sep: str) -> List[str]:
+        """The header and one line per row, columns joined by `sep`."""
+        cells = ((str(row.N), *map(_format_value, (row.value, row.reference, row.abs_error))) for row in self.rows)
+        return [sep.join(line) for line in (("N", "value", "reference", "abs_error"), *cells)]
+
     def to_csv(self) -> str:
-        lines = ["N,value,reference,abs_error"]
-        for row in self.rows:
-            lines.append(
-                f"{row.N},{_format_value(row.value)},{_format_value(row.reference)},{_format_value(row.abs_error)}"
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join(self._table(",")) + "\n"
 
     def to_text(self) -> str:
-        lines = []
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}: {self.metadata[key]}")
-        widths = ("N", "value", "reference", "abs_error")
-        lines.append("  ".join(widths))
-        for row in self.rows:
-            lines.append(
-                f"{row.N}  {_format_value(row.value)}  {_format_value(row.reference)}  {_format_value(row.abs_error)}"
-            )
-        return "\n".join(lines) + "\n"
+        metadata = [f"# {key}: {self.metadata[key]}" for key in sorted(self.metadata)]
+        return "\n".join(metadata + self._table("  ")) + "\n"
 
 
 AVERAGE_KINDS = {
@@ -174,32 +169,27 @@ def _linear_table(sys: FiniteMPS, kind: str, observables: Sequence[Observable], 
     """The window average of a linear kind (cubic, birkhoff_1d, birkhoff_2d)
     as a function of N, from one table built per report.
 
-    Each is sum_{r,s} cs[r] ct[s] K[r][s] over the orbit grid, with integer
-    K[r][s] = f1(S^r x) f2(T^s x) f3(S^r T^s x) for cubic and f(S^r T^s x)
-    for birkhoff_2d; birkhoff_1d is the sum over r alone of f(S^r x).  With
-    (q, rho) = divmod(N, a), cs[r] = q + [r < rho], and likewise ct in b, so
-    from the prefix sums P[m][n] = sum_{r<m, s<n} K[r][s] the window total is
+    Each is (1/N^2) sum_{r,s} cs[r] ct[s] K[r][s] over an a x b table, with
+    integer K[r][s] = f1(S^r x) f2(T^s x) f3(S^r T^s x) for cubic and
+    f(S^r T^s x) for birkhoff_2d, on the orbit grid.  birkhoff_1d is the
+    a x 1 column K[r][0] = f(S^r x), b = 1: its j-sum is N times each value,
+    so the same formula gives (1/N) sum_i f(S^i x).  With (q, rho) =
+    divmod(N, a), cs[r] = q + [r < rho], and likewise ct in b, so from the
+    prefix sums P[m][n] = sum_{r<m, s<n} K[r][s] the window total is
     q_a q_b P[a][b] + q_a P[a][rho_b] + q_b P[rho_a][b] + P[rho_a][rho_b]:
     four lookups and one `Fraction` per window, whatever N.
     """
     a, b, grid = sys.orbit_grid(x)
     scaled = [f.scaled for f in observables]
     den = math.prod(d for _, d in scaled)
-    if kind == "birkhoff_1d":
-        ((u, _),) = scaled
-        line = list(accumulate((u[row[0]] for row in grid), initial=0))
-
-        def window_1d(N: int) -> Fraction:
-            q, rho = divmod(N, a)
-            return Fraction(q * line[a] + line[rho], N * den)
-
-        return window_1d
     if kind == "cubic":
         (u1, _), (u2, _), (u3, _) = scaled
         g2 = [u2[p] for p in grid[0]]
         K = [[u1[row[0]] * v * u3[p] for v, p in zip(g2, row)] for row in grid]
     else:
         ((u, _),) = scaled
+        if kind == "birkhoff_1d":
+            b, grid = 1, [row[:1] for row in grid]
         K = [[u[p] for p in row] for row in grid]
     rows = (accumulate(row, initial=0) for row in K)
     P = list(accumulate(rows, lambda above, row: list(map(add, above, row)), initial=[0] * (b + 1)))
@@ -395,17 +385,18 @@ def decompose_and_converge(
 ) -> ConvergenceReport:
     """The cubic average over the schedule against its limit, the W-part of f3.
 
-    Requires a magic, ergodic, free system.  There W is discrete (the norm
-    argument in `joinings`), so E(f3 | W) = f3 and the mean-zero part is 0:
-    each row's value is the cubic average, and its reference the W-part
-    formula over points: f3(p) times the f1-sum over the S-cycle of x within
-    the T-orbit of p, times the f2-sum over the T-cycle of x within the
-    S-orbit of p, summed over p and divided by a b.
+    Requires a magic, ergodic, free system.  The box seminorm is a norm (the
+    argument in `joinings`), so magic means exactly that W is discrete, which
+    `measurability_check` tests.  There E(f3 | W) = f3 and the mean-zero
+    part is 0: each row's value is the cubic average, and its reference the
+    W-part formula over points: f3(p) times the f1-sum over the S-cycle of x
+    within the T-orbit of p, times the f2-sum over the T-cycle of x within
+    the S-orbit of p, summed over p and divided by a b.
     """
     check_schedule(schedule)
     _check_average_args(sys, (f1, f2, f3), x, max(schedule))
     failures = []
-    if not is_magic(sys).is_magic:
+    if not measurability_check(sys):
         failures.append("not magic")
     if not is_ergodic(sys):
         failures.append("not ergodic")
@@ -452,28 +443,18 @@ def _abs_error(v: Value, reference: Optional[Value]) -> Optional[Value]:
     return abs(v - reference)
 
 
-# The per-window kinds -> (value at window size N, exact reference); the
-# kernels are looked up when called, so a wrapped module function sees every
-# call.  The linear kinds evaluate every window from one `_linear_table`.
-_QUADRATIC_KINDS = {
-    "fourfold": (lambda sys, fs, x, N: fourfold_average(sys, *fs, x, N), lambda sys, fs: host_integral(host_measure(sys), fs)),
-    "windowed_sn": (
-        lambda sys, fs, x, N: windowed_sn(sys, *fs, x, N),
-        lambda sys, fs: host_seminorm(host_measure(sys), *fs).fourth_power,
-    ),
-}
-
-
 def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
     """Drive one average kind over a schedule, wiring in the exact reference
-    where one exists: the four-fold joining integral, the S_N limit, and the
-    Birkhoff value at N = lcm(a, b), which covers every period on the orbit
-    grid.  The cubic kind has none."""
+    where one exists: the four-fold joining integral for `fourfold_average`,
+    the S_N limit |||f|||^4 for `windowed_sn`, and, for the linear kinds read
+    from one `_linear_table`, the Birkhoff value at N = lcm(a, b), which
+    covers every period on the orbit grid.  The cubic kind has none."""
     _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
     fs, x = spec.observables, spec.start
-    if spec.kind in _QUADRATIC_KINDS:
-        kernel, reference = _QUADRATIC_KINDS[spec.kind]
-        value, ref = (lambda N: kernel(sys, fs, x, N)), reference(sys, fs)
+    if spec.kind == "fourfold":
+        value, ref = (lambda N: fourfold_average(sys, *fs, x, N)), host_integral(host_measure(sys), fs)
+    elif spec.kind == "windowed_sn":
+        value, ref = (lambda N: windowed_sn(sys, *fs, x, N)), host_seminorm(host_measure(sys), *fs).fourth_power
     else:
         value = _linear_table(sys, spec.kind, fs, x)
         ref = None if spec.kind == "cubic" else value(math.lcm(*sys.orbit_grid(x)[:2]))

@@ -94,7 +94,6 @@ class ProductCubeReport:
     """Outcome of identifying a product system's quadruple space with the
     product of its factors' pair spaces."""
 
-    product: FiniteMPS
     cube_size: int
     first_pair_size: int
     second_pair_size: int
@@ -174,7 +173,6 @@ def product_cube_identification(first: FiniteMPS, second: FiniteMPS) -> ProductC
         measure_matches = {key: Fraction(v, hm.den) for key, v in pushed.items()} == tensor
 
     return ProductCubeReport(
-        product=prod,
         cube_size=space.size,
         first_pair_size=y_pairs.size,
         second_pair_size=w_pairs.size,

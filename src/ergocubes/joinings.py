@@ -58,7 +58,7 @@ and on a finite ergodic base these are known in closed form:
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -222,18 +222,25 @@ def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
 
     On C x C the mass is constant, so the integral over it is mass times
     <F1[m], F2[r]> <F3[m], F4[r]>, F_i the numerators of f_i (`Observable.scaled`)
-    along the grid rows and r = (m + k) % a; k < a runs r over every row.  All
-    of it is summed in ints over den d1 d2 d3 d4."""
+    along the grid rows and r = (m + k) % a; k < a runs r over every row.  Each
+    distinct observable is mapped onto the rows once, and when (f3, f4) is
+    (f1, f2), as for the seminorm, the one dot product is squared.  All of it
+    is summed in ints over den d1 d2 d3 d4."""
     if len(fs) != 4 or any(f.n != hm.n for f in fs):
         raise DimensionError(f"need 4 observables on {hm.n} points")
-    (g1, d1), (g2, d2), (g3, d3), (g4, d4) = (f.scaled for f in fs)
+    slots = [fs.index(f) for f in fs]  # the first argument equal to each
+    nums = [f.scaled[0] for f in fs]
     total = 0
     for mass, p, grid in hm.parts:
-        r1, r2, r3, r4 = ([[g[x] for x in row] for row in grid] for g in (g1, g2, g3, g4))
-        total += mass * sum(
-            sum(map(mul, r1[m], row2)) * sum(map(mul, r3[m], row4)) for m in range(p) for row2, row4 in zip(r2, r4)
-        )
-    return Fraction(total, hm.den * d1 * d2 * d3 * d4)
+        rows = {k: [[nums[k][x] for x in row] for row in grid] for k in set(slots)}
+        r1, r2, r3, r4 = (rows[k] for k in slots)
+        if slots[2:] == slots[:2]:
+            total += mass * sum(sum(map(mul, r1[m], row2)) ** 2 for m in range(p) for row2 in r2)
+        else:
+            total += mass * sum(
+                sum(map(mul, r1[m], row2)) * sum(map(mul, r3[m], row4)) for m in range(p) for row2, row4 in zip(r2, r4)
+            )
+    return Fraction(total, hm.den * prod(f.scaled[1] for f in fs))
 
 
 class SeminormValue(NamedTuple):
@@ -353,7 +360,6 @@ class ComponentSummary:
 
 @dataclass(frozen=True)
 class MagicExtension:
-    base: FiniteMPS
     system: FiniteMPS                       # the selected component
     quadruples: Tuple[Quad, ...]            # extension point k sits over quadruples[k]
     factor: Tuple[int, ...]                 # factor map pi = last coordinate
@@ -396,7 +402,6 @@ def magic_extension(sys: FiniteMPS) -> MagicExtension:
         )
     rest = (ComponentSummary(size, w, None, None, False, "not evaluated") for w in sys.weights[1:])
     return MagicExtension(
-        base=sys,
         system=fiber,
         quadruples=tuple(quads),
         factor=tuple(q[3] for q in quads),

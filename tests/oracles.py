@@ -276,7 +276,6 @@ def magic_extension_by_decomposition(sys):
     comp = components[k]
     comp_quads = tuple(quads[x] for x in comp.support)
     return MagicExtension(
-        base=sys,
         system=sub,
         quadruples=comp_quads,
         factor=tuple(q[3] for q in comp_quads),

@@ -454,7 +454,7 @@ class TestDecomposition:
         assert accepted == 13 * 22
 
     def test_rows_are_the_cubic_averages_alone(self, monkeypatch):
-        for name, module in (("windowed_sn", averaging), ("cond_exp", joinings)):
+        for name, module in (("windowed_sn", averaging), ("cond_exp", joinings), ("exact_null_space", joinings)):
             monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
         sys = product_grid(3, 4)
         f = mixed_observable(Random(419), sys.n)

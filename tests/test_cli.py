@@ -721,6 +721,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "nonesuch")
         assert code == 1
 
+    def test_every_suite_by_default(self, capsys):
+        # no --suite runs all ten; at seed 1 the extension suite's one
+        # decision is a small one
+        code, out, err = run(capsys, "verify", "--trials", "1", "--seed", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 11 and [line.split()[1] for line in lines[:10]] == ["ok"] * 10
+        assert lines[10] == "total failures: 0"
+
 
 class TestTopLevel:
     def test_no_command(self, capsys):
@@ -728,6 +737,16 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
+
+    @pytest.mark.parametrize("target", ["DIR", "MISSING/r.txt"])
+    def test_an_unwritable_out_is_an_io_error(self, capsys, tmp_path, target):
+        # an existing directory fails at the rename, after the temporary file
+        # is written; a missing directory fails before it is made
+        (tmp_path / "DIR").mkdir()
+        code, out, err = run(capsys, "analyze", "--builtin", "z4-diagonal", "--out", str(tmp_path / target))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("i/o error: ")
+        assert not list(tmp_path.rglob(".tmp-*.part"))
 
     def test_the_parser_raises_usage_errors(self):
         # argparse calls `error` on a usage problem and would exit 2; the

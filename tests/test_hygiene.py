@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports, no private names imported across modules,
-no definition in ergocubes that nothing reads, every name the benchmark
-harness reads from ergocubes still exists, and the test references in
-`tests/oracles.py` stay independent of what they check."""
+no definition or dataclass field in ergocubes that nothing reads, every name
+the benchmark harness reads from ergocubes still exists, and the test
+references in `tests/oracles.py` stay independent of what they check."""
 
 import ast
 import importlib
@@ -128,18 +128,35 @@ def _reads(tree: ast.AST) -> Counter:
     return reads
 
 
+def _dataclass_fields(tree: ast.AST):
+    """Each field of a top-level `@dataclass` class, as (class, annotated assignment)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+            if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                fields = (item for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+                yield from ((node, item) for item in fields)
+
+
 def _dead_definitions(defining: dict, reading: list):
     """The definitions in the `defining` sources (label -> text) whose name
-    is read nowhere in `reading` outside their own body; `cmd_*` handlers
-    are exempt, since `cli.main` looks them up by name."""
-    total = Counter()
+    is read nowhere in `reading` outside their own body, and the dataclass
+    fields that no source in `reading` reads as an attribute; `cmd_*`
+    handlers are exempt, since `cli.main` looks them up by name."""
+    total, attributes = Counter(), set()
     for source in reading:
-        total += _reads(ast.parse(source))
+        tree = ast.parse(source)
+        total += _reads(tree)
+        attributes |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     dead = []
     for label, source in defining.items():
-        for node in _definitions(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in _definitions(tree):
             if not node.name.startswith("cmd_") and total[node.name] == _reads(node)[node.name]:
                 dead.append(f"{label}:{node.lineno} {node.name}")
+        for cls, item in _dataclass_fields(tree):
+            if item.target.id not in attributes:
+                dead.append(f"{label}:{item.lineno} {cls.name}.{item.target.id}")
     return dead
 
 
@@ -164,9 +181,14 @@ def test_the_scan_sees_a_dead_definition():
         "        return 'Box'\n"
         "def cmd_run(args):\n"
         "    return 0\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n"
+        "    n: int\n"
+        "    size: int\n"
     )
-    user = "from mod import Box\nBox().read()\n"
-    assert _dead_definitions({"mod.py": module}, [module, user]) == ["mod.py:3 dead", "mod.py:8 unread"]
+    # `size` is passed and named, but never read as an attribute
+    user = "from mod import Box, Row\nBox().read()\nsize = Row(1, size=2).n\n"
+    assert _dead_definitions({"mod.py": module}, [module, user]) == ["mod.py:3 dead", "mod.py:8 unread", "mod.py:17 Row.size"]
 
 
 _MISSING = object()
