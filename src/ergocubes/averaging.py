@@ -17,7 +17,7 @@ the counts in i and in j (along S it is the grid's a x 1 column), so
 from four of them with one formula; `run_average`, `cubic_average` and
 `decompose_and_converge` all evaluate it.  The quadratic kinds
 (`fourfold_average`, `windowed_sn`) keep a per-window kernel, which
-`run_average` calls directly against its joining integral, and the S_N sum
+`run_average` calls against x's component's joining integral, and the S_N sum
 (`sn_sum`) is shared with the exhaustive bound sweep.  The decomposition
 checks that its system is magic as `measurability_check`, a discrete W.
 Point-mass box averages along arbitrary generators, `birkhoff_average` here
@@ -51,9 +51,10 @@ from .finite import (
     is_ergodic,
     is_free,
     partition_s,
+    partition_st,
     partition_t,
 )
-from .joinings import host_integral, host_measure, host_seminorm, measurability_check
+from .joinings import host_integral, host_measure, measurability_check
 
 Value = Union[Fraction, float]
 
@@ -444,17 +445,18 @@ def _abs_error(v: Value, reference: Optional[Value]) -> Optional[Value]:
 
 
 def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
-    """Drive one average kind over a schedule, wiring in the exact reference
-    where one exists: the four-fold joining integral for `fourfold_average`,
-    the S_N limit |||f|||^4 for `windowed_sn`, and, for the linear kinds read
-    from one `_linear_table`, the Birkhoff value at N = lcm(a, b), which
-    covers every period on the orbit grid.  The cubic kind has none."""
+    """Drive one average kind over a schedule against its exact limit where
+    one exists: for the quadratic kinds, the joining integral (|||f|||^4 for
+    S_N) of x's ergodic component, mu_{S,T} on J^4 over w(J), J the joint
+    orbit of x; for the linear kinds, read from one `_linear_table`, the value
+    at N = lcm(a, b), which covers every period.  The cubic kind has none."""
     _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
     fs, x = spec.observables, spec.start
-    if spec.kind == "fourfold":
-        value, ref = (lambda N: fourfold_average(sys, *fs, x, N)), host_integral(host_measure(sys), fs)
-    elif spec.kind == "windowed_sn":
-        value, ref = (lambda N: windowed_sn(sys, *fs, x, N)), host_seminorm(host_measure(sys), *fs).fourth_power
+    if spec.kind in ("fourfold", "windowed_sn"):
+        kernel = fourfold_average if spec.kind == "fourfold" else windowed_sn
+        joint = partition_st(sys).block_of  # J has |J| points of weight w(x)
+        value = lambda N: kernel(sys, *fs, x, N)
+        ref = host_integral(host_measure(sys), fs * (4 // len(fs)), joint[x]) / (joint.count(joint[x]) * sys.weights[x])
     else:
         value = _linear_table(sys, spec.kind, fs, x)
         ref = None if spec.kind == "cubic" else value(math.lcm(*sys.orbit_grid(x)[:2]))

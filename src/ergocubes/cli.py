@@ -43,7 +43,7 @@ from .finite import (
     system_to_dict,
     z4_diagonal,
 )
-from .joinings import is_magic, magic_extension, measurability_check, ExtensionConstructionError
+from .joinings import ExtensionConstructionError, invariant_w, magic_extension
 from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
 from .cubes import product_cube_identification, uniform_cube_deviation
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
@@ -249,7 +249,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"generic pair declared: {_yesno(system.generic)}")
     else:
         free = is_free(system)
-        magic = is_magic(system)
+        w_blocks = invariant_w(system).num_blocks  # the seminorm is a norm (`joinings`): magic = measurable = W discrete
         lines.append(f"points: {system.n}")
         lines.append(f"uniform weights: {_yesno(len(set(system.weights)) == 1)}")
         lines.append(f"order of S: {system.order_s()}   order of T: {system.order_t()}")
@@ -260,12 +260,9 @@ def cmd_analyze(args) -> int:
         else:
             i, j = free.witness
             lines.append(f"free: no (witness: S^{i} T^{j} = identity)")
-        if magic.is_magic:
-            lines.append("magic: yes")
-        else:
-            lines.append(f"magic: no ({magic.direction})")
-        lines.append(f"kernel dimension: {magic.seminorm_kernel_dim}   mean-zero dimension: {magic.mean_zero_dim}")
-        lines.append(f"invariant pairing measurable: {_yesno(measurability_check(system))}")
+        lines.append("magic: yes" if w_blocks == system.n else "magic: no (mean-zero observable with positive seminorm)")
+        lines.append(f"kernel dimension: 0   mean-zero dimension: {system.n - w_blocks}")
+        lines.append(f"invariant pairing measurable: {_yesno(w_blocks == system.n)}")
         pairs, _, quadruples = _support_counts(system)
         lines += [f"pair support: {pairs}", f"quadruple support: {quadruples}", f"cube space: {quadruples}"]
     _emit("\n".join(lines) + "\n", args.out)

@@ -217,8 +217,8 @@ def _build_host_measure(sys: FiniteMPS) -> HostMeasure:
     return HostMeasure(sys.n, d * common, parts)
 
 
-def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
-    """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}.
+def host_integral(hm: HostMeasure, fs: Sequence[Observable], part: Optional[int] = None) -> Fraction:
+    """Exact integral of f1 x f2 x f3 x f4 against mu_{S,T}, or on J^4 alone, J the joint orbit of hm.parts[part].
 
     On C x C the mass is constant, so the integral over it is mass times
     <F1[m], F2[r]> <F3[m], F4[r]>, F_i the numerators of f_i (`Observable.scaled`)
@@ -231,7 +231,7 @@ def host_integral(hm: HostMeasure, fs: Sequence[Observable]) -> Fraction:
     slots = [fs.index(f) for f in fs]  # the first argument equal to each
     nums = [f.scaled[0] for f in fs]
     total = 0
-    for mass, p, grid in hm.parts:
+    for mass, p, grid in hm.parts if part is None else hm.parts[part:part + 1]:
         rows = {k: [[nums[k][x] for x in row] for row in grid] for k in set(slots)}
         r1, r2, r3, r4 = (rows[k] for k in slots)
         if slots[2:] == slots[:2]:

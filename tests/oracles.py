@@ -378,6 +378,55 @@ def fourier_limit(kind, polys, x):
         return abs(value) if kind == "windowed_sn" else value
 
 
+# The multiples of alpha and of beta that each box index of a window average
+# carries, for frequencies n of its observables, M = n0 + n1 + n2 + n3:
+#   birkhoff_2d  f(x + i a + j b)                          i: n a, j: n b
+#   cubic        f1(x + i a) f2(x + j b) f3(x + i a + j b)  i: (n1 + n3) a, j: (n2 + n3) b
+#   fourfold     f0(x + i a + j b) f1(x + (i+k) a + j b)
+#                f2(x + i a + (j+p) b) f3(x + (i+k) a + (j+p) b)
+#                i: M a, k: (n1 + n3) a, j: M b, p: (n2 + n3) b
+WINDOW_TURNS = {
+    "birkhoff_2d": lambda a, b, n: (n * a, n * b),
+    "cubic": lambda a, b, n1, n2, n3: ((n1 + n3) * a, (n2 + n3) * b),
+    "fourfold": lambda a, b, n0, n1, n2, n3: (
+        (n0 + n1 + n2 + n3) * a, (n1 + n3) * a, (n0 + n1 + n2 + n3) * b, (n2 + n3) * b
+    ),
+}
+
+
+def fourier_window(kind, polys, x, alpha, beta, N):
+    """One window average of `kind` (a key of WINDOW_TURNS) at window size N
+    on the rotations by alpha and beta, from x, as a 60-digit mpf.  Expanded
+    in frequencies, the box sum is sum_n c(n) e(M x) times one geometric mean
+    (1/N) sum_{i<N} e(i t) per box index, t the multiple it carries, and each
+    mean is e((N-1) t/2) sin(pi N t) / (N sin(pi t)), or 1 for an integer t.
+    N t, (N-1) t/2 and M x are reduced as exact Fractions before they become
+    mpfs."""
+
+    def turn(t):  # e(t)
+        t %= 1
+        return mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+
+    def sin_pi(t):
+        t %= 2
+        return mpmath.sinpi(mpmath.mpf(t.numerator) / t.denominator)
+
+    with mpmath.workdps(60):
+        means = {}
+        total = mpmath.mpc(0)
+        for items in product(*(sorted(f.coeffs.items()) for f in polys)):
+            ns = [n for n, _ in items]
+            term = turn(sum(ns) * F(x))
+            for _, c in items:
+                term *= mpmath.mpc(c.real, c.imag)
+            for t in WINDOW_TURNS[kind](F(alpha), F(beta), *ns):
+                if t not in means:
+                    means[t] = 1 if t.denominator == 1 else turn((N - 1) * t / 2) * sin_pi(N * t) / (N * sin_pi(t))
+                term *= means[t]
+            total += term
+        return mpmath.re(total)
+
+
 def pair_tensor(first, second):
     """The product of `first`'s pair measure along S and `second`'s along T."""
     transposed = FiniteMPS(list(second.weights), list(second.T), list(second.S))

@@ -596,6 +596,23 @@ class TestAverageSpecAndDriver:
         assert report.rows[0].reference == F(1, 8)
         assert report.rows[0].abs_error == 0
 
+    def test_quadratic_references_are_the_rows_at_the_full_period(self):
+        # from x the quadratic averages tend to the joining integral of x's
+        # ergodic component, and at N = lcm(a, b) the row is one full pass
+        # over x's orbit grid, which is that integral
+        rng = Random(509)
+        starts = off_component = 0
+        for sys in lattices(12) + lattice_unions(6):
+            for x in range(sys.n):
+                period = math.lcm(literal_cycle_length(sys.S, x), literal_cycle_length(sys.T, x))
+                for kind in ("fourfold", "windowed_sn"):
+                    fs = tuple(mixed_observable(rng, sys.n) for _ in range(AVERAGE_KINDS[kind]))
+                    (row,) = run_average(sys, AverageSpec(kind, fs, x, (period,))).rows
+                    assert row.value == row.reference, (sys, x, kind)
+                    off_component += row.reference != joinings.host_integral(host_measure(sys), fs * (4 // len(fs)))
+                starts += 1
+        assert (starts, off_component) == (2304, 2401)
+
     def test_birkhoff_driver_reference_is_full_period_value(self):
         sys = product_grid(2, 3)
         f = Observable.indicator(6, 0)

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from ergocubes.finite import (
     translation_system,
     z4_diagonal,
 )
-from ergocubes.joinings import MagicReport, host_measure, measurability_check, rel_indep_square
+from ergocubes.joinings import MagicReport, host_measure, is_magic, measurability_check, rel_indep_square
 from oracles import lattice_unions, lattices, listed_mu_st, measurable_by_spread
 
 
@@ -77,6 +78,40 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", "--system", write_system(tmp_path / f"{k}.json", system))
             assert (code, err) == (0, "") and out.endswith(expected)
         assert (len(systems), measurable) == (295, 113)
+
+    def test_magic_and_kernel_lines_match_the_null_space_route(self, capsys, tmp_path):
+        # analyze reads these lines off W; is_magic decides them from the
+        # seminorm kernel's exact null space and the mean-zero basis
+        systems = lattices(12) + lattice_unions(8)
+        magic = 0
+        for k, system in enumerate(systems):
+            report = is_magic(system)
+            magic += report.is_magic
+            expected = (
+                f"magic: {'yes' if report.is_magic else f'no ({report.direction})'}\n"
+                f"kernel dimension: {report.seminorm_kernel_dim}   mean-zero dimension: {report.mean_zero_dim}\n"
+            )
+            code, out, err = run(capsys, "analyze", "--system", write_system(tmp_path / f"{k}.json", system))
+            assert (code, err) == (0, "") and expected in out
+        assert (len(systems), magic) == (1043, 285)
+
+    def test_time_and_memory_follow_the_orbit_partitions(self, capsys, tmp_path):
+        # product_grid(120, 40): 4,800 points, a null space over 4,800
+        # columns and 23,040,000 quadruples on the null-space route
+        path = write_system(tmp_path / "grid.json", product_grid(120, 40))
+        begin = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--system", path)
+        elapsed = time.perf_counter() - begin
+        tracemalloc.start()
+        try:
+            assert run(capsys, "analyze", "--system", path) == (code, out, err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert "magic: yes\nkernel dimension: 0   mean-zero dimension: 0\n" in out
+        assert out.endswith("quadruple support: 23040000\ncube space: 23040000\n")
+        assert elapsed < 2 and peak < 5 * 2**20
 
     def test_unknown_builtin(self, capsys):
         code, out, err = run(capsys, "analyze", "--builtin", "nonesuch")
@@ -203,6 +238,19 @@ class TestAverage:
             assert code == 1 and out == "", value
             assert err == f"error: --tolerance must be a finite number >= 0, got {float(value)}\n"
         assert run(capsys, *base, "--tolerance=0")[0] == 2
+
+    @pytest.mark.parametrize("kind", ["fourfold", "windowed_sn"])
+    def test_quadratic_reference_is_the_limit_from_the_start(self, capsys, tmp_path, kind):
+        # S swaps 0 and 1 and fixes 2, T is the identity: from 0 the rows tend
+        # to the joining integral of the component {0, 1}, 1/4, not 1/6 on
+        # the whole space; the N = 1 row is f(0)^4 = 1, 3/4 off
+        path = write_system(tmp_path / "swap.json", FiniteMPS([Fraction(1, 3)] * 3, [1, 0, 2], [0, 1, 2]))
+        argv = ["average", "--system", path, "--kind", kind, "--observable=1,0,0", "--start", "0"]
+        code, out, err = run(capsys, *argv, "--schedule", "2,4,1024", "--tolerance", "0.01")
+        assert (code, err) == (0, "")
+        assert out == "N,value,reference,abs_error\n2,1/4,1/4,0/1\n4,1/4,1/4,0/1\n1024,1/4,1/4,0/1\n"
+        code, out, err = run(capsys, *argv, "--schedule", "1,2", "--tolerance", "0.01")
+        assert (code, out.splitlines()[1]) == (2, "1,1/1,1/4,3/4")
 
     def test_tolerance_requires_reference(self, capsys, tmp_path):
         # refused before any report is written, to stdout or to --out
@@ -637,6 +685,8 @@ class TestCube:
         for k, system in enumerate(lattices(12) + (product_grid(40, 40),)):
             measurability_check(system)
             path = write_system(tmp_path / f"{k}.json", system)
+            code, out, err = run(capsys, "analyze", "--system", path)
+            assert (code, err) == (0, "") and f"points: {system.n}\n" in out
             code, out, err = run(capsys, "cube", "--system", path)
             assert (code, err) == (0, "")
             transitive = "transitive: yes" in out

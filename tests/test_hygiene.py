@@ -45,6 +45,7 @@ REFERENCES = {
     "listed_pushforward": ("product_cube_identification",),
     "three_track_decomposition": ("decompose_and_converge",),
     "fourier_limit": ("torus_report", "torus_average", "_frequency_table", "_window_average", "_mean_phase"),
+    "fourier_window": ("torus_average", "_frequency_table", "_window_average", "_mean_phase", "_BOXES"),
 }
 
 

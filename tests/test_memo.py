@@ -37,15 +37,6 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_analyze_builds_the_host_measure_once(monkeypatch, tmp_path, capsys):
-    ext = tmp_path / "ext.json"
-    assert cli.main(["extend", "--builtin", "z4-diagonal", "--out", str(ext)]) == 0
-    builds = _counting(monkeypatch, joinings, "_build_host_measure")
-    assert cli.main(["analyze", "--system", str(ext)]) == 0
-    assert "magic: yes" in capsys.readouterr().out
-    assert len(builds) == 1
-
-
 @pytest.mark.parametrize(
     "base",
     [z4_diagonal(), diagonal_grid(2, 3), translation_system(8, 1, (1, 0), (3, 0))],
@@ -55,7 +46,6 @@ def test_extend_decides_magic_once_per_evaluated_component(monkeypatch, tmp_path
     path = tmp_path / "base.json"
     path.write_text(json.dumps(system_to_dict(base)))
     decisions = _counting(monkeypatch, joinings, "is_magic")
-    monkeypatch.setattr(cli, "is_magic", joinings.is_magic)
     extensions = []
 
     def recording(sys):

@@ -25,7 +25,7 @@ from ergocubes.torus import (
     torus_average_naive,
     torus_report,
 )
-from oracles import fourier_limit
+from oracles import fourier_limit, fourier_window
 
 F = Fraction
 
@@ -469,6 +469,27 @@ class TestHighPrecisionOracle:
     @pytest.mark.parametrize("kind", ["windowed_sn", "fourfold"])
     def test_quadruple_sums_up_to_6(self, kind):
         self.check(kind, (1, 2, 6), seed=433)
+
+
+class TestWindowBoundAtHugeWindows:
+    """The stated bound of torus_average, 2**-44 times the product of the
+    sup bounds, at every window N = 2**k + d, k <= 60, d < 4, against the
+    60-digit closed form of one window (`oracles.fourier_window`), which
+    first meets the literal box sums at N <= 3."""
+
+    @pytest.mark.parametrize("kind, max_freq", [("birkhoff_2d", 2), ("cubic", 1), ("fourfold", 1)])
+    def test_within_the_stated_bound(self, kind, max_freq):
+        sys = sqrt23_system()
+        rng = Random(439)
+        obs = [random_poly(rng, max_freq=max_freq) for _ in range(AVERAGE_KINDS[kind])]
+        x = F(rng.randrange(10**15), 10**15 + 37)
+        with mpmath.workdps(50):
+            for N in (1, 2, 3):
+                assert abs(fourier_window(kind, obs, x, sys.alpha, sys.beta, N) - mp_box_average(sys, kind, obs, x, N)) < 1e-40
+        bound = 2.0**-44 * math.prod(f.sup_bound for f in obs)
+        for N in sorted({2**k + d for k in range(61) for d in range(4)}):
+            exact = fourier_window(kind, obs, x, sys.alpha, sys.beta, N)
+            assert abs(torus_average(sys, kind, obs, x, N) - exact) <= bound, (kind, N)
 
 
 def test_import_leaves_numpy_unloaded():
