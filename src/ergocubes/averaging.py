@@ -128,18 +128,6 @@ def check_schedule(schedule: Sequence[int]):
         raise ValueError("schedule must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class AverageSpec:
-    kind: str
-    observables: Tuple[Observable, ...]
-    start: int
-    schedule: Tuple[int, ...]
-
-    def __post_init__(self):
-        check_kind(self.kind, len(self.observables))
-        check_schedule(self.schedule)
-
-
 def window_counts(N: int, period: int) -> List[int]:
     """counts[r] = #{ i in [0, N) : i = r mod period }."""
     return [(N - 1 - r) // period + 1 if r < N else 0 for r in range(period)]
@@ -444,20 +432,24 @@ def _abs_error(v: Value, reference: Optional[Value]) -> Optional[Value]:
     return abs(v - reference)
 
 
-def run_average(sys: FiniteMPS, spec: AverageSpec) -> ConvergenceReport:
+def run_average(
+    sys: FiniteMPS, kind: str, observables: Sequence[Observable], x: int, schedule: Sequence[int]
+) -> ConvergenceReport:
     """Drive one average kind over a schedule against its exact limit where
     one exists: for the quadratic kinds, the joining integral (|||f|||^4 for
     S_N) of x's ergodic component, mu_{S,T} on J^4 over w(J), J the joint
     orbit of x; for the linear kinds, read from one `_linear_table`, the value
     at N = lcm(a, b), which covers every period.  The cubic kind has none."""
-    _check_average_args(sys, spec.observables, spec.start, spec.schedule[0])
-    fs, x = spec.observables, spec.start
-    if spec.kind in ("fourfold", "windowed_sn"):
-        kernel = fourfold_average if spec.kind == "fourfold" else windowed_sn
+    check_kind(kind, len(observables))
+    check_schedule(schedule)
+    _check_average_args(sys, observables, x, schedule[0])
+    if kind in ("fourfold", "windowed_sn"):
+        kernel = fourfold_average if kind == "fourfold" else windowed_sn
         joint = partition_st(sys).block_of  # J has |J| points of weight w(x)
-        value = lambda N: kernel(sys, *fs, x, N)
-        ref = host_integral(host_measure(sys), fs * (4 // len(fs)), joint[x]) / (joint.count(joint[x]) * sys.weights[x])
+        value = lambda N: kernel(sys, *observables, x, N)
+        fs = list(observables) * (4 // len(observables))
+        ref = host_integral(host_measure(sys), fs, joint[x]) / (joint.count(joint[x]) * sys.weights[x])
     else:
-        value = _linear_table(sys, spec.kind, fs, x)
-        ref = None if spec.kind == "cubic" else value(math.lcm(*sys.orbit_grid(x)[:2]))
-    return schedule_report(spec.schedule, value, ref, {"kind": spec.kind, "start": x, "n": sys.n})
+        value = _linear_table(sys, kind, observables, x)
+        ref = None if kind == "cubic" else value(math.lcm(*sys.orbit_grid(x)[:2]))
+    return schedule_report(schedule, value, ref, {"kind": kind, "start": x, "n": sys.n})

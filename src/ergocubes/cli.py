@@ -44,7 +44,7 @@ from .finite import (
     z4_diagonal,
 )
 from .joinings import ExtensionConstructionError, invariant_w, magic_extension
-from .averaging import AVERAGE_KINDS, AverageSpec, check_schedule, run_average
+from .averaging import AVERAGE_KINDS, check_schedule, run_average
 from .cubes import product_cube_identification, uniform_cube_deviation
 from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
 from .verify import SUITES, run_suites
@@ -298,10 +298,7 @@ def cmd_average(args) -> int:
             raise CliError(f"finite start must be a point index, got {args.start!r}")
     if len(obs) == 1:
         obs *= AVERAGE_KINDS[kind]
-    if torus:
-        report = torus_report(system, kind, obs, start, schedule)
-    else:
-        report = run_average(system, AverageSpec(kind=kind, observables=tuple(obs), start=start, schedule=schedule))
+    report = (torus_report if torus else run_average)(system, kind, obs, start, schedule)
     if args.tolerance is not None and any(row.reference is None for row in report.rows):
         raise CliError(f"--tolerance needs a reference value, and kind {kind} has none here")
     _emit(report.to_csv() if args.format == "csv" else report.to_text(), args.out)

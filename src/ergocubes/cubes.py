@@ -240,6 +240,8 @@ def uniform_cube_deviation(sys: FiniteMPS, N: int) -> Fraction:
     ergodic system and its uniform measure, from any start.  The space is
     X x Z_a x Z_b: side moves shift (i mod a, j mod b) and diagonals move the
     base, so the box hits factor as h(y) c_a(i) c_b(j)."""
+    if N < 1:
+        raise ValueError(f"window size must be positive, got {N}")
     if not is_ergodic(sys):
         raise PreconditionError("the uniform cube deviation needs an ergodic system")
     a, b = sys.orbit_grid(0)[:2]

@@ -33,6 +33,7 @@ from ergocubes.joinings import (
     ComponentSummary,
     ExtensionConstructionError,
     MagicExtension,
+    MagicReport,
     cond_exp,
     invariant_w,
     is_magic,
@@ -184,15 +185,23 @@ def listed_mu_st(sys):
     return listed
 
 
-def measurable_by_spread(sys):
-    """The measurability check by spreading each orbit's Fraction masses over
-    W-block products: the reference for `measurability_check`.  The W-block of
-    x is its literal S-cycle cut with its literal T-cycle."""
+def literal_w_blocks(sys):
+    """The W-blocks by first point, each the literal S-cycle of its first
+    point cut with its literal T-cycle and sorted, and each point's block
+    index."""
     block_of, w_blocks = {}, []
     for x in range(sys.n):
         if x not in block_of:
             w_blocks.append(sorted(set(literal_cycle(sys.S, x)) & set(literal_cycle(sys.T, x))))
             block_of.update((y, len(w_blocks) - 1) for y in w_blocks[-1])
+    return block_of, w_blocks
+
+
+def measurable_by_spread(sys):
+    """The measurability check by spreading each orbit's Fraction masses over
+    W-block products: the reference for `measurability_check`, on the
+    W-blocks of `literal_w_blocks`."""
+    block_of, w_blocks = literal_w_blocks(sys)
     w_mass = [sum((sys.weights[x] for x in block), F(0)) for block in w_blocks]
     mu_s = rel_indep_square(sys).entries
     for orbit in closure_orbits(sys):
@@ -210,6 +219,60 @@ def measurable_by_spread(sys):
         if spread != original:
             return False
     return True
+
+
+def fraction_rank(rows, ncols):
+    """The rank of a matrix of Fractions, by Gaussian elimination."""
+    rows, rank = [list(row) for row in rows], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                factor = rows[i][c] / top[c]
+                rows[i] = [v - factor * t for v, t in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def magic_by_null_space(sys):
+    """The magic decision on the null-space route, the reference for
+    `is_magic`.  The mean-zero space {f : E(f|W) = 0} has the basis e_x / w(x)
+    - e_y / w(y), y the first point of x's W-block (`literal_w_blocks`), and
+    the seminorm kernel is the null space of the slice map f -> (sum_x f(x)
+    mu_{S,T}(x, y1, y2, y3)), both with mu_{S,T} from `listed_mu_st`.  The
+    first basis vector whose |||f|||^4, the literal sum over the quadruples,
+    is positive is the counterexample.  Otherwise the mean-zero space lies in
+    the kernel, and the system is magic exactly when the kernel, of dimension
+    n minus the rank of the slice map, is no larger; a larger kernel is
+    reported without a counterexample."""
+    _, w_blocks = literal_w_blocks(sys)
+    mu_st = listed_mu_st(sys)
+    basis = []
+    for y, *rest in w_blocks:
+        for x in rest:
+            vals = [F(0)] * sys.n
+            vals[x], vals[y] = 1 / sys.weights[x], -1 / sys.weights[y]
+            basis.append(Observable(tuple(vals)))
+    slices = {}
+    for (x, *ys), mass in mu_st.items():
+        slices.setdefault(tuple(ys), [F(0)] * sys.n)[x] += mass
+    kernel_dim = sys.n - fraction_rank(set(map(tuple, slices.values())), sys.n)
+
+    def fourth_power(f):
+        v = f.values
+        return sum(mass * v[a] * v[b] * v[c] * v[d] for (a, b, c, d), mass in mu_st.items())
+
+    positive = next((f for f in basis if fourth_power(f) != 0), None)
+    if positive is not None:
+        return MagicReport(False, positive, "mean-zero observable with positive seminorm", kernel_dim, len(basis))
+    if kernel_dim > len(basis):
+        direction = "seminorm-kernel observable with nonzero conditional expectation"
+        return MagicReport(False, None, direction, kernel_dim, len(basis))
+    return MagicReport(True, None, None, kernel_dim, len(basis))
 
 
 def magic_extension_by_decomposition(sys):

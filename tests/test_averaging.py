@@ -9,7 +9,6 @@ import pytest
 from ergocubes import averaging, joinings
 from ergocubes.averaging import (
     AVERAGE_KINDS,
-    AverageSpec,
     birkhoff_average,
     box_hits,
     check_bound_average,
@@ -560,13 +559,13 @@ class TestExhaustiveSweep:
 
 class TestAverageSpecAndDriver:
     def test_spec_validation(self):
-        one = Observable.constant(4, 1)
+        sys, one = z4_diagonal(), Observable.constant(4, 1)
         with pytest.raises(ValueError, match="unknown average kind"):
-            AverageSpec("quintic", (one,), 0, (1, 2))
+            run_average(sys, "quintic", (one,), 0, (1, 2))
         with pytest.raises(DimensionError, match="needs 3 observables, got 1"):
-            AverageSpec("cubic", (one,), 0, (1, 2))
+            run_average(sys, "cubic", (one,), 0, (1, 2))
         with pytest.raises(ValueError, match="strictly increasing"):
-            AverageSpec("windowed_sn", (one,), 0, (4, 4))
+            run_average(sys, "windowed_sn", (one,), 0, (4, 4))
         assert set(AVERAGE_KINDS) == {
             "cubic",
             "fourfold",
@@ -578,8 +577,7 @@ class TestAverageSpecAndDriver:
     def test_fourfold_driver_reference_and_errors(self):
         sys = z4_diagonal()
         f = z4_observable()
-        spec = AverageSpec("fourfold", (f, f, f, f), 0, (1, 2, 4, 8))
-        report = run_average(sys, spec)
+        report = run_average(sys, "fourfold", (f, f, f, f), 0, (1, 2, 4, 8))
         assert [row.N for row in report.rows] == [1, 2, 4, 8]
         assert all(row.reference == F(1, 8) for row in report.rows)
         by_n = {row.N: row for row in report.rows}
@@ -591,7 +589,7 @@ class TestAverageSpecAndDriver:
     def test_windowed_driver_reference(self):
         sys = z4_diagonal()
         f = z4_observable()
-        report = run_average(sys, AverageSpec("windowed_sn", (f,), 0, (4,)))
+        report = run_average(sys, "windowed_sn", (f,), 0, (4,))
         assert report.rows[0].value == F(1, 8)
         assert report.rows[0].reference == F(1, 8)
         assert report.rows[0].abs_error == 0
@@ -607,7 +605,7 @@ class TestAverageSpecAndDriver:
                 period = math.lcm(literal_cycle_length(sys.S, x), literal_cycle_length(sys.T, x))
                 for kind in ("fourfold", "windowed_sn"):
                     fs = tuple(mixed_observable(rng, sys.n) for _ in range(AVERAGE_KINDS[kind]))
-                    (row,) = run_average(sys, AverageSpec(kind, fs, x, (period,))).rows
+                    (row,) = run_average(sys, kind, fs, x, (period,)).rows
                     assert row.value == row.reference, (sys, x, kind)
                     off_component += row.reference != joinings.host_integral(host_measure(sys), fs * (4 // len(fs)))
                 starts += 1
@@ -616,14 +614,14 @@ class TestAverageSpecAndDriver:
     def test_birkhoff_driver_reference_is_full_period_value(self):
         sys = product_grid(2, 3)
         f = Observable.indicator(6, 0)
-        report = run_average(sys, AverageSpec("birkhoff_2d", (f,), 0, (6, 12)))
+        report = run_average(sys, "birkhoff_2d", (f,), 0, (6, 12))
         assert all(row.reference == F(1, 6) for row in report.rows)
         assert all(row.abs_error == 0 for row in report.rows)
 
     def test_cubic_driver_has_no_reference(self):
         sys = z4_diagonal()
         f = z4_observable()
-        report = run_average(sys, AverageSpec("cubic", (f, f, f), 0, (1, 2)))
+        report = run_average(sys, "cubic", (f, f, f), 0, (1, 2))
         assert all(row.reference is None for row in report.rows)
         assert all(row.abs_error is None for row in report.rows)
 
@@ -637,14 +635,14 @@ class TestAverageSpecAndDriver:
             schedule = sorted({1, 2, period, 2 * period + 1})
             for kind, count in AVERAGE_KINDS.items():
                 fs = tuple(mixed_observable(rng, sys.n) for _ in range(count))
-                for row in run_average(sys, AverageSpec(kind, fs, x, schedule)).rows:
+                for row in run_average(sys, kind, fs, x, schedule).rows:
                     want = None if kind == "cubic" else abs(row.value - row.reference)
                     assert row.abs_error == want, (sys, x, kind, row.N)
 
     def test_report_serialization_golden(self):
         sys = z4_diagonal()
         f = z4_observable()
-        report = run_average(sys, AverageSpec("windowed_sn", (f,), 0, (4,)))
+        report = run_average(sys, "windowed_sn", (f,), 0, (4,))
         assert report.to_csv().splitlines() == [
             "N,value,reference,abs_error",
             "4,1/8,1/8,0/1",
@@ -667,11 +665,11 @@ class TestLinearReports:
             f1, f2, f3 = (mixed_observable(rng, sys.n) for _ in range(3))
             period = math.lcm(literal_cycle_length(sys.S, x), literal_cycle_length(sys.T, x))
             schedule = tuple(range(1, 2 * period + 2))
-            report = run_average(sys, AverageSpec("cubic", (f1, f2, f3), x, schedule))
+            report = run_average(sys, "cubic", (f1, f2, f3), x, schedule)
             assert [row.value for row in report.rows] == [literal_cubic(sys, f1, f2, f3, x, N) for N in schedule], (sys, x)
             for kind, gens in BIRKHOFF_GENS.items():
                 want = [literal_birkhoff(sys, f3, x, gens, N) for N in schedule]
-                report = run_average(sys, AverageSpec(kind, (f3,), x, schedule))
+                report = run_average(sys, kind, (f3,), x, schedule)
                 assert [row.value for row in report.rows] == want, (sys, x, kind)
                 assert {row.reference for row in report.rows} == {want[period - 1]}, (sys, x, kind)
 
@@ -682,7 +680,7 @@ class TestLinearReports:
             x = rng.randrange(sys.n)
             f = mixed_observable(rng, sys.n)
             for kind, gens in BIRKHOFF_GENS.items():
-                report = run_average(sys, AverageSpec(kind, (f,), x, (N,)))
+                report = run_average(sys, kind, (f,), x, (N,))
                 assert report.rows[0].value == birkhoff_average(sys, f, x, gens, N), (sys, x, kind)
 
     def test_one_table_per_report(self, monkeypatch):
@@ -693,7 +691,7 @@ class TestLinearReports:
         sys = product_grid(3, 4)
         f = mixed_observable(Random(499), sys.n)
         routes = {
-            kind: lambda schedule, kind=kind: run_average(sys, AverageSpec(kind, (f,) * AVERAGE_KINDS[kind], 2, schedule))
+            kind: lambda schedule, kind=kind: run_average(sys, kind, (f,) * AVERAGE_KINDS[kind], 2, schedule)
             for kind in ("cubic", "birkhoff_1d", "birkhoff_2d")
         }
         routes["decompose_and_converge"] = lambda schedule: decompose_and_converge(sys, f, f, f, 2, schedule)

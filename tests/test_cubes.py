@@ -407,6 +407,11 @@ class TestUniformCubeDeviation:
         with pytest.raises(PreconditionError, match="ergodic"):
             uniform_cube_deviation(FiniteMPS(uniform(2), [0, 1], [0, 1]), 4)
 
+    def test_rejects_a_window_below_one(self):
+        for N in (0, -1):
+            with pytest.raises(ValueError, match=f"window size must be positive, got {N}"):
+                uniform_cube_deviation(z4_diagonal(), N)
+
 
 def ref3():
     return SparseMeasure(1, 3, {(x,): F(1, 3) for x in range(3)})

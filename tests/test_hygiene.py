@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no private names imported across modules,
-no definition or dataclass field in ergocubes that nothing reads, every name
-the benchmark harness reads from ergocubes still exists, and the test
-references in `tests/oracles.py` stay independent of what they check."""
+no definition or dataclass field in ergocubes that nothing reads, one
+definition alone reads the listed quadruple measure and the exact null space,
+every name the benchmark harness reads from ergocubes still exists, and the
+test references in `tests/oracles.py` stay independent of what they check."""
 
 import ast
 import importlib
@@ -20,7 +21,7 @@ ORACLES = ROOT / "tests" / "oracles.py"
 # data types, and the layers the old routes are built from.
 ORACLE_IMPORTS = {
     "FiniteMPS", "FreenessResult", "Observable", "PreconditionError",
-    "ComponentSummary", "ExtensionConstructionError", "MagicExtension", "S_STAR", "T_STAR",
+    "ComponentSummary", "ExtensionConstructionError", "MagicExtension", "MagicReport", "S_STAR", "T_STAR",
     "ergodic_decomposition", "invariant_w", "is_ergodic", "is_magic", "rel_indep_square",
     "check_schedule", "cond_exp", "cubic_average", "partition_s", "partition_t", "windowed_sn",
 }
@@ -41,6 +42,10 @@ REFERENCES = {
     "closure_orbits": ("host_measure", "orbit_grid", "partition_st"),
     "listed_mu_st": ("host_measure", "orbit_grid", "partition_st"),
     "measurable_by_spread": ("measurability_check", "host_measure", "invariant_w"),
+    "magic_by_null_space": (
+        "is_magic", "invariant_w", "measurability_check", "host_measure", "host_seminorm", "host_integral",
+        "seminorm_kernel_basis", "exact_null_space",
+    ),
     "magic_extension_by_decomposition": ("magic_extension", "cube_over", "is_free"),
     "listed_pushforward": ("product_cube_identification",),
     "three_track_decomposition": ("decompose_and_converge",),
@@ -190,6 +195,57 @@ def test_the_scan_sees_a_dead_definition():
     # `size` is passed and named, but never read as an attribute
     user = "from mod import Box, Row\nBox().read()\nsize = Row(1, size=2).n\n"
     assert _dead_definitions({"mod.py": module}, [module, user]) == ["mod.py:3 dead", "mod.py:8 unread", "mod.py:17 Row.size"]
+
+
+# The one definition in `src/` that reads the listed quadruple measure
+# (`HostMeasure.mu_st`) and the exact null space, as (file, name).
+NULL_SPACE_READER = ("joinings.py", "seminorm_kernel_basis")
+
+
+def _null_space_reads(sources: dict):
+    """Each read, in the sources (label -> text), of the attribute `mu_st` or
+    of `exact_null_space` as a name, an attribute or an import, outside the
+    top-level definition `NULL_SPACE_READER`.  The definitions themselves are
+    no reads, and the import of `exact_null_space` into the reader's own file
+    is exempt."""
+    reads = []
+    for label, source in sources.items():
+        for top in ast.parse(source).body:
+            if (label, getattr(top, "name", None)) == NULL_SPACE_READER:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("mu_st", "exact_null_space"):
+                    reads.append(f"{label}:{node.lineno} {node.attr}")
+                elif isinstance(node, ast.Name) and node.id == "exact_null_space":
+                    reads.append(f"{label}:{node.lineno} {node.id}")
+                elif isinstance(node, ast.ImportFrom) and label != NULL_SPACE_READER[0]:
+                    reads += [f"{label}:{node.lineno} import {a.name}" for a in node.names if a.name == "exact_null_space"]
+    return reads
+
+
+def test_one_definition_reads_the_null_space():
+    reads = _null_space_reads({p.name: p.read_text() for p in SOURCES})
+    assert not reads, f"read outside {NULL_SPACE_READER[1]}: " + ", ".join(reads)
+
+
+def test_the_scan_sees_a_planted_null_space_reader():
+    reader = (
+        "from .linalg import exact_null_space\n"
+        "class HostMeasure:\n"
+        "    @cached_property\n"
+        "    def mu_st(self):\n"
+        "        return self.parts\n"
+        "def seminorm_kernel_basis(hm):\n"
+        "    return exact_null_space(hm.mu_st.entries, hm.n)\n"
+        "def is_magic(sys):\n"
+        "    return len(host_measure(sys).mu_st.entries)\n"
+    )
+    other = "from .linalg import exact_null_space\nfrom . import linalg\nkernel = linalg.exact_null_space([], 0)\n"
+    assert _null_space_reads({"joinings.py": reader, "cli.py": other}) == [
+        "joinings.py:9 mu_st",
+        "cli.py:1 import exact_null_space",
+        "cli.py:3 exact_null_space",
+    ]
 
 
 _MISSING = object()

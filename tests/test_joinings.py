@@ -16,8 +16,8 @@ from random import Random
 import pytest
 
 from ergocubes import joinings
-from ergocubes.averaging import AVERAGE_KINDS, AverageSpec, run_average
-from ergocubes.core import Observable, PreconditionError, SparseMeasure, integrate, marginal
+from ergocubes.averaging import AVERAGE_KINDS, run_average
+from ergocubes.core import DimensionError, Observable, PreconditionError, SparseMeasure, integrate, marginal
 from ergocubes.finite import (
     FiniteMPS,
     diagonal_grid,
@@ -54,6 +54,7 @@ from oracles import (
     lattice_unions,
     lattices,
     listed_mu_st,
+    magic_by_null_space,
     magic_extension_by_decomposition,
     measurable_by_spread,
     mixed_observable,
@@ -155,6 +156,21 @@ class TestQuadrupleMeasure:
         monkeypatch.setattr(joinings, "common_denominator", largest_denominator)
         assert any(mutated(sys, fs) != listed for sys, fs, listed in cases)
 
+    def test_host_integral_rejects_a_joint_orbit_out_of_range(self):
+        hm = host_measure(diagonal_grid(2, 3))  # one joint orbit
+        ones = (Observable.constant(6, 1),) * 4
+        assert host_integral(hm, ones, 0) == 1
+        for part in (5, -1):
+            with pytest.raises(DimensionError, match=f"joint orbit index {part} is not in 0..0"):
+                host_integral(hm, ones, part)
+
+    def test_host_integral_sums_over_the_joint_orbits(self):
+        rng = Random(521)
+        for sys in lattice_unions(6):
+            hm = host_measure(sys)
+            fs = [mixed_observable(rng, sys.n) for _ in range(4)]
+            assert sum(host_integral(hm, fs, part) for part in range(len(hm.parts))) == host_integral(hm, fs), sys
+
 
 class TestSeminorm:
     def test_z4_fourth_power_is_one_eighth(self):
@@ -255,6 +271,14 @@ class TestMagic:
         assert host_seminorm(hm, f).fourth_power > 0
         ce = cond_exp(z4_diagonal(), f, invariant_w(z4_diagonal()))
         assert all(v == 0 for v in ce.values)
+
+    def test_report_matches_the_null_space_reference(self):
+        # is_magic reads its verdict, counterexample and mean-zero dimension
+        # off W; the reference decides them from the listed mu_{S,T}
+        systems = lattices(12) + lattice_unions(8)
+        reports = [is_magic(sys) for sys in systems]
+        assert reports == [magic_by_null_space(sys) for sys in systems]
+        assert (len(systems), sum(r.is_magic for r in reports)) == (1043, 285)
 
     def test_product_grid_magic(self):
         report = is_magic(product_grid(2, 3))
@@ -416,7 +440,7 @@ class TestPairLayer:
         host_integral(host_measure(sys), (f, f, f, f))
         measurability_check(sys)
         for kind in ("fourfold", "windowed_sn"):
-            run_average(sys, AverageSpec(kind, (f,) * AVERAGE_KINDS[kind], 0, (1, 4)))
+            run_average(sys, kind, (f,) * AVERAGE_KINDS[kind], 0, (1, 4))
         assert "mu_st" not in vars(host_measure(sys))
 
     def test_the_pair_layer_stays_small_on_a_large_grid(self):
