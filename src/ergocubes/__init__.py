@@ -1,106 +1,64 @@
 """Exact computations for finite systems with two commuting measure-preserving
 maps: self-joinings, a four-fold seminorm, magic extensions, quadruple spaces,
-window averages with closed-form compression, and analytic torus oracles."""
+window averages with closed-form compression, and analytic torus oracles.
 
-from .core import (
-    DimensionError,
-    Observable,
-    Partition,
-    PreconditionError,
-    SparseMeasure,
-    as_fraction,
-    common_refinement,
-    format_fraction,
-    integrate,
-    marginal,
-    parse_rational,
-)
-from .finite import (
-    ErgodicComponent,
-    FiniteMPS,
-    FreenessResult,
-    GroupElement,
-    InvalidSystemError,
-    S_GEN,
-    SystemFormatError,
-    T_GEN,
-    diagonal_grid,
-    ergodic_decomposition,
-    invariant_partition,
-    is_ergodic,
-    is_free,
-    partition_s,
-    partition_t,
-    partition_st,
-    product_grid,
-    product_system,
-    random_ergodic_system,
-    random_product_system,
-    random_system,
-    system_from_dict,
-    system_to_dict,
-    translation_system,
-    z4_diagonal,
-)
-from .joinings import (
-    ExtensionConstructionError,
-    HostMeasure,
-    MagicExtension,
-    MagicReport,
-    SeminormValue,
-    cond_exp,
-    host_integral,
-    host_measure,
-    host_seminorm,
-    invariant_w,
-    is_magic,
-    magic_extension,
-    measurability_check,
-    rel_indep_square,
-    seminorm_kernel_basis,
-)
-from .cubes import (
-    ActionSpace,
-    ProductCubeReport,
-    cube_space,
-    empirical_unique_ergodicity,
-    product_cube_identification,
-    two_sided_cube,
-    uniform_cube_deviation,
-)
-from .averaging import (
-    BoundCheck,
-    ConvergenceReport,
-    ReportRow,
-    birkhoff_average,
-    box_hits,
-    check_bound_average,
-    check_telescoping,
-    cubic_average,
-    decompose_and_converge,
-    fourfold_average,
-    fourfold_average_naive,
-    run_average,
-    schedule_report,
-    window_counts,
-    windowed_sn,
-    windowed_sn_naive,
-)
-from .torus import (
-    TorusSystem,
-    TrigPoly,
-    sqrt23_system,
-    sqrt_fraction,
-    torus_average,
-    torus_average_naive,
-    torus_report,
-)
-from .verify import (
-    SuiteResult,
-    SweepResult,
-    exhaustive_bound_sweep,
-    find_bound_constant,
-    run_suites,
-)
+`import ergocubes` loads no submodule: each name below is looked up in its
+module on first access (PEP 562), so a process compiles only the layers it
+uses.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "core": (
+            "DimensionError", "Observable", "Partition", "PreconditionError", "SparseMeasure", "as_fraction",
+            "common_refinement", "format_fraction", "integrate", "marginal", "parse_rational",
+        ),
+        "finite": (
+            "ErgodicComponent", "FiniteMPS", "FreenessResult", "GroupElement", "InvalidSystemError", "S_GEN",
+            "SystemFormatError", "T_GEN", "diagonal_grid", "ergodic_decomposition", "invariant_partition",
+            "is_ergodic", "is_free", "partition_s", "partition_t", "partition_st", "product_grid", "product_system",
+            "random_ergodic_system", "random_product_system", "random_system", "system_from_dict",
+            "system_to_dict", "translation_system", "z4_diagonal",
+        ),
+        "joinings": (
+            "ExtensionConstructionError", "HostMeasure", "MagicExtension", "MagicReport", "SeminormValue",
+            "cond_exp", "host_integral", "host_measure", "host_seminorm", "invariant_w", "is_magic",
+            "magic_extension", "measurability_check", "rel_indep_square", "seminorm_kernel_basis",
+        ),
+        "cubes": (
+            "ActionSpace", "ProductCubeReport", "cube_space", "empirical_unique_ergodicity",
+            "product_cube_identification", "two_sided_cube", "uniform_cube_deviation",
+        ),
+        "averaging": (
+            "BoundCheck", "ConvergenceReport", "ReportRow", "birkhoff_average", "box_hits", "check_bound_average",
+            "check_telescoping", "cubic_average", "decompose_and_converge", "fourfold_average",
+            "fourfold_average_naive", "run_average", "schedule_report", "window_counts", "windowed_sn",
+            "windowed_sn_naive",
+        ),
+        "torus": (
+            "TorusSystem", "TrigPoly", "sqrt23_system", "sqrt_fraction", "torus_average", "torus_average_naive",
+            "torus_report",
+        ),
+        "verify": ("SuiteResult", "SweepResult", "exhaustive_bound_sweep", "find_bound_constant", "run_suites"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Not cached here: the name stays whatever its module binds now.
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

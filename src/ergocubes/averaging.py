@@ -39,6 +39,7 @@ from operator import add, mul
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
+    AVERAGE_KINDS,
     DimensionError,
     Observable,
     PreconditionError,
@@ -98,15 +99,6 @@ class ConvergenceReport:
     def to_text(self) -> str:
         metadata = [f"# {key}: {self.metadata[key]}" for key in sorted(self.metadata)]
         return "\n".join(metadata + self._table("  ")) + "\n"
-
-
-AVERAGE_KINDS = {
-    "cubic": 3,
-    "fourfold": 4,
-    "windowed_sn": 1,
-    "birkhoff_1d": 1,
-    "birkhoff_2d": 1,
-}
 
 
 def check_kind(kind: str, count: int):

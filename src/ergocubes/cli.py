@@ -26,9 +26,11 @@ import os
 import stat
 import sys as _sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .core import Observable, format_fraction, parse_rational
+# `averaging`, `cubes`, `torus` and `verify` are imported where a command
+# runs them, so a process loads only the layers its command needs.
+from .core import AVERAGE_KINDS, Observable, format_fraction, parse_rational
 from .finite import (
     FiniteMPS,
     SystemFormatError,
@@ -44,18 +46,18 @@ from .finite import (
     z4_diagonal,
 )
 from .joinings import ExtensionConstructionError, invariant_w, magic_extension
-from .averaging import AVERAGE_KINDS, check_schedule, run_average
-from .cubes import product_cube_identification, uniform_cube_deviation
-from .torus import TorusSystem, TrigPoly, sqrt23_system, torus_report
-from .verify import SUITES, run_suites
+
+if TYPE_CHECKING:
+    from .torus import TorusSystem, TrigPoly
 
 FINITE_BUILTINS = {
     "z4-diagonal": z4_diagonal,
     "product-2x3": product_grid,
     "grid-2x3": diagonal_grid,
 }
+# by the name of their constructor in `torus`, imported only when one is asked for
 TORUS_BUILTINS = {
-    "torus-sqrt23": sqrt23_system,
+    "torus-sqrt23": "sqrt23_system",
 }
 
 
@@ -133,6 +135,8 @@ def _parse_observable(text: str, n: int) -> Observable:
 
 
 def _parse_trig(text: str) -> TrigPoly:
+    from .torus import TrigPoly
+
     coeffs = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -188,6 +192,8 @@ def _parse_schedule(text: str) -> Tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad schedule {text!r}: {exc}")
+    from .averaging import check_schedule
+
     check_schedule(values)
     if values[-1] > 2**_MAX_POW2_EXPONENT:
         raise CliError(f"schedule windows above 2**{_MAX_POW2_EXPONENT} are not supported")
@@ -202,7 +208,9 @@ def _load_system(args) -> Union[FiniteMPS, TorusSystem]:
         if name in FINITE_BUILTINS:
             return FINITE_BUILTINS[name]()
         if name in TORUS_BUILTINS:
-            return TORUS_BUILTINS[name]()
+            from . import torus
+
+            return getattr(torus, TORUS_BUILTINS[name])()
         known = ", ".join(sorted(FINITE_BUILTINS) + sorted(TORUS_BUILTINS))
         raise CliError(f"unknown builtin {name!r} (known: {known})")
     if getattr(args, "system", None):
@@ -242,7 +250,7 @@ def _support_counts(system: FiniteMPS) -> Tuple[int, int, int]:
 def cmd_analyze(args) -> int:
     system = _load_system(args)
     lines: List[str] = []
-    if isinstance(system, TorusSystem):
+    if not isinstance(system, FiniteMPS):
         lines.append("kind: torus rotations")
         lines.append(f"alpha: {float(system.alpha):.12f}")
         lines.append(f"beta: {float(system.beta):.12f}")
@@ -278,7 +286,7 @@ def cmd_average(args) -> int:
     system = _load_system(args)
     schedule = _parse_schedule(args.schedule)
     kind = args.kind
-    torus = isinstance(system, TorusSystem)
+    torus = not isinstance(system, FiniteMPS)
     if torus:
         if not args.trig:
             raise CliError("torus averages need at least one --trig observable")
@@ -298,7 +306,11 @@ def cmd_average(args) -> int:
             raise CliError(f"finite start must be a point index, got {args.start!r}")
     if len(obs) == 1:
         obs *= AVERAGE_KINDS[kind]
-    report = (torus_report if torus else run_average)(system, kind, obs, start, schedule)
+    if torus:
+        from .torus import torus_report as report_of
+    else:
+        from .averaging import run_average as report_of
+    report = report_of(system, kind, obs, start, schedule)
     if args.tolerance is not None and any(row.reference is None for row in report.rows):
         raise CliError(f"--tolerance needs a reference value, and kind {kind} has none here")
     _emit(report.to_csv() if args.format == "csv" else report.to_text(), args.out)
@@ -315,7 +327,7 @@ def cmd_average(args) -> int:
 
 def cmd_extend(args) -> int:
     system = _load_system(args)
-    if isinstance(system, TorusSystem):
+    if not isinstance(system, FiniteMPS):
         raise CliError("extend works on finite systems")
     try:
         ext = magic_extension(system)
@@ -359,8 +371,10 @@ def cmd_cube(args) -> int:
     if args.identify_with and args.schedule is not None:
         raise CliError("--schedule does not apply to --identify-with")
     system = _load_system(args)
-    if isinstance(system, TorusSystem):
+    if not isinstance(system, FiniteMPS):
         raise CliError("cube structure reports work on finite systems")
+    from .cubes import product_cube_identification, uniform_cube_deviation
+
     if args.identify_with:
         report = product_cube_identification(system, _load_system_file(args.identify_with))
         lines = [
@@ -403,10 +417,9 @@ def cmd_cube(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite or ["all"]
-    if "all" in names:
-        names = list(SUITES)
-    results = run_suites(names, seed=args.seed, trials=args.trials)
+    from .verify import run_suites
+
+    results = run_suites(args.suite or ["all"], seed=args.seed, trials=args.trials)
     lines = []
     failures = 0
     for result in results:
@@ -459,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second factor file: check the product identification instead")
 
     p = sub.add_parser("verify", help="seeded property sweeps")
-    p.add_argument("--suite", action="append", choices=sorted(SUITES) + ["all"],
-                   help="repeatable; default all")
+    p.add_argument("--suite", action="append", help="repeatable; default all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--out", help="write the report to this file (atomically)")

@@ -24,6 +24,18 @@ class PreconditionError(ValueError):
     """A stated precondition of an operation does not hold."""
 
 
+# The window averages and how many observables each takes.  `averaging` and
+# `torus` compute them; the table lives here so that the command line can
+# offer the kinds without loading either.
+AVERAGE_KINDS = {
+    "cubic": 3,
+    "fourfold": 4,
+    "windowed_sn": 1,
+    "birkhoff_1d": 1,
+    "birkhoff_2d": 1,
+}
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like "p/q", and Fractions; reject floats.
 

@@ -222,7 +222,7 @@ def partition_t(sys: FiniteMPS) -> Partition:
 
 def partition_st(sys: FiniteMPS) -> Partition:
     """Partition into joint orbits: the supports of the ergodic components."""
-    return sys.cached("ST", invariant_partition, sys, (S_GEN, T_GEN))
+    return sys.cached("ST", orbit_partition, (sys.S, sys.T), sys.n)
 
 
 def is_ergodic(sys: FiniteMPS) -> bool:
@@ -377,18 +377,23 @@ def system_from_dict(doc: dict) -> FiniteMPS:
 # -- stock systems and seeded generators ------------------------------------
 
 
+def _translations(a: int, b: int, s: Tuple[int, int], t: Tuple[int, int]) -> Tuple[List[int], List[int]]:
+    """The index maps S = +s and T = +t of `translation_system(a, b, s, t)`."""
+
+    def shift(d):
+        du, dv = d
+        return [((u + du) % a) * b + ((v + dv) % b) for u in range(a) for v in range(b)]
+
+    return shift(s), shift(t)
+
+
 def translation_system(a: int, b: int, s: Tuple[int, int], t: Tuple[int, int]) -> FiniteMPS:
     """Z_a x Z_b, uniformly weighted, with S = +s and T = +t (all
     translations commute).
 
     Points are indexed row-major: (u, v) -> u*b + v.
     """
-
-    def shift(d):
-        du, dv = d
-        return [((u + du) % a) * b + ((v + dv) % b) for u in range(a) for v in range(b)]
-
-    return FiniteMPS([Fraction(1, a * b)] * (a * b), shift(s), shift(t))
+    return FiniteMPS([Fraction(1, a * b)] * (a * b), *_translations(a, b, s, t))
 
 
 def z4_diagonal() -> FiniteMPS:
@@ -438,26 +443,17 @@ def random_system(rng: Random, max_order: int = 4, max_components: int = 2) -> F
     non-uniform and non-ergodic systems.
     """
     k = rng.randint(1, max_components)
-    pieces = []
+    S, T = [], []
     for _ in range(k):
         a, b = rng.randint(1, max_order), rng.randint(1, max_order)
         s = (rng.randrange(a), rng.randrange(b))
         t = (rng.randrange(a), rng.randrange(b))
-        pieces.append(translation_system(a, b, s, t))
-    sizes = [p.n for p in pieces]
-    offset = [0]
-    for size in sizes:
-        offset.append(offset[-1] + size)
-    n = offset[-1]
-    S = [0] * n
-    T = [0] * n
-    for p, off in zip(pieces, offset):
-        for x in range(p.n):
-            S[off + x] = off + p.S[x]
-            T[off + x] = off + p.T[x]
+        # Z_a x Z_b glued on after the points so far
+        piece_s, piece_t = _translations(a, b, s, t)
+        S, T = S + [len(S) + y for y in piece_s], T + [len(T) + y for y in piece_t]
+    n = len(S)
     # Re-weight across the orbits of the glued action.
-    glued = FiniteMPS([Fraction(1, n)] * n, S, T)
-    orbits = invariant_partition(glued, [S_GEN, T_GEN]).blocks()
+    orbits = orbit_partition((S, T), n).blocks()
     masses = _random_masses(rng, len(orbits))
     weights = [Fraction(0)] * n
     for orbit, mass in zip(orbits, masses):

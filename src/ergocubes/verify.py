@@ -478,11 +478,12 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str], seed: int, trials: int) -> List[SuiteResult]:
+    """Run the named suites in order; "all" among the names runs every suite once."""
+    for name in names:
+        if name != "all" and name not in SUITES:
+            raise ValueError(f"unknown suite: {name!r} (choose from all, {', '.join(sorted(SUITES))})")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite: {name!r} (choose from {', '.join(sorted(SUITES))})")
-        results.append(SUITES[name](seed, trials))
-    return results
+    if "all" in names:
+        names = list(SUITES)
+    return [SUITES[name](seed, trials) for name in names]

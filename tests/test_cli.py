@@ -610,6 +610,9 @@ class TestExtend:
 
 
 class TestCube:
+    def test_rejects_torus(self, capsys):
+        assert run(capsys, "cube", "--builtin", "torus-sqrt23") == (1, "", "error: cube structure reports work on finite systems\n")
+
     def test_structure_report(self, capsys):
         code, out, _ = run(capsys, "cube", "--builtin", "grid-2x3")
         assert code == 0
@@ -768,8 +771,11 @@ class TestVerify:
         assert (code, out, err) == (1, "", "error: trials must be nonnegative, got -1\n")
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "nonesuch")
-        assert code == 1
+        known = "all, averaging, bounds, core, cubes, decompose, extension, finite, joinings, products, torus"
+        line = f"error: unknown suite: 'nonesuch' (choose from {known})\n"
+        for suites in (["nonesuch"], ["core", "nonesuch"], ["all", "nonesuch"]):
+            argv = [arg for suite in suites for arg in ("--suite", suite)]
+            assert run(capsys, "verify", *argv, "--trials", "1") == (1, "", line)
 
     def test_every_suite_by_default(self, capsys):
         # no --suite runs all ten; at seed 1 the extension suite's one

@@ -1,15 +1,22 @@
 """Source hygiene: no unused imports, no private names imported across modules,
 no definition or dataclass field in ergocubes that nothing reads, one
 definition alone reads the listed quadruple measure and the exact null space,
-every name the benchmark harness reads from ergocubes still exists, and the
-test references in `tests/oracles.py` stay independent of what they check."""
+every name the benchmark harness reads from ergocubes still exists, the
+package and each command load only the modules they use, and the test
+references in `tests/oracles.py` stay independent of what they check."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import ergocubes
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ergocubes").glob("*.py"))
@@ -112,16 +119,19 @@ def test_the_scan_sees_an_unused_and_a_private_import():
     assert names - used == {"_grid", "math"}
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.AST):
-    """Each top-level function and class, and each non-dunder method, as its node."""
+    """Each top-level function and class, and each method, as its node,
+    except the dunders, which Python looks up by name (a module's
+    `__getattr__` too)."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_dunder(node.name):
             yield node
         if isinstance(node, ast.ClassDef):
-            yield from (
-                item for item in node.body
-                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
-            )
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name))
 
 
 def _reads(tree: ast.AST) -> Counter:
@@ -187,6 +197,8 @@ def test_the_scan_sees_a_dead_definition():
         "        return 'Box'\n"
         "def cmd_run(args):\n"
         "    return 0\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
         "@dataclass(frozen=True)\n"
         "class Row:\n"
         "    n: int\n"
@@ -194,7 +206,7 @@ def test_the_scan_sees_a_dead_definition():
     )
     # `size` is passed and named, but never read as an attribute
     user = "from mod import Box, Row\nBox().read()\nsize = Row(1, size=2).n\n"
-    assert _dead_definitions({"mod.py": module}, [module, user]) == ["mod.py:3 dead", "mod.py:8 unread", "mod.py:17 Row.size"]
+    assert _dead_definitions({"mod.py": module}, [module, user]) == ["mod.py:3 dead", "mod.py:8 unread", "mod.py:19 Row.size"]
 
 
 # The one definition in `src/` that reads the listed quadruple measure
@@ -417,3 +429,73 @@ def test_the_independence_scan_sees_a_forbidden_import_a_stale_entry_and_a_reach
         "closure_orbits reaches host_measure",
         "measurable_by_spread is not defined",
     ]
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """The last line a new interpreter prints after running `code` on `argv`."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded(code: str):
+    """The ergocubes submodules a new interpreter has loaded after `code`."""
+    listing = "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('ergocubes.'))))"
+    return set(_fresh(code + listing).split())
+
+
+def _after_main(*argv: str):
+    return _loaded(f"from ergocubes.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+def test_import_loads_no_submodule():
+    assert _loaded("import ergocubes") == set()
+
+
+def test_a_finite_average_loads_no_cubes_torus_or_verify():
+    loaded = _after_main(
+        "average", "--builtin", "grid-2x3", "--kind", "cubic", "--observable", "1,0,-1/2,1,0,2", "--schedule", "1,4"
+    )
+    assert "ergocubes.averaging" in loaded
+    assert loaded.isdisjoint({"ergocubes.cubes", "ergocubes.torus", "ergocubes.verify"})
+
+
+@pytest.mark.parametrize("command", ["analyze", "extend"])
+def test_analyze_and_extend_load_no_averaging(command):
+    loaded = _after_main(command, "--builtin", "z4-diagonal")
+    assert "ergocubes.joinings" in loaded
+    assert loaded.isdisjoint({"ergocubes.averaging", "ergocubes.cubes", "ergocubes.torus", "ergocubes.verify"})
+
+
+def _defining_modules():
+    """Each top-level name that a module of ergocubes defines rather than
+    imports, with the modules that define it."""
+    where = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                where.setdefault(name, []).append(f"ergocubes.{path.stem}")
+    return where
+
+
+def test_every_export_is_the_object_its_module_defines():
+    # resolved in a new interpreter, where the package starts with no
+    # submodule loaded
+    where = _defining_modules()
+    assert len(ergocubes.__all__) == 86 and all(len(where.get(name, ())) == 1 for name in ergocubes.__all__)
+    probe = (
+        "import importlib, json, sys, ergocubes\n"
+        "where = json.loads(sys.argv[1])\n"
+        "same = [n for n, m in where.items() if getattr(ergocubes, n) is getattr(importlib.import_module(m), n)]\n"
+        "print(json.dumps([same, sorted(set(ergocubes.__all__) - set(dir(ergocubes))), hasattr(ergocubes, 'nonesuch')]))"
+    )
+    exports = {name: where[name][0] for name in ergocubes.__all__}
+    assert json.loads(_fresh(probe, json.dumps(exports))) == [list(exports), [], False]
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        ergocubes.nonesuch

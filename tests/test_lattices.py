@@ -5,7 +5,7 @@ import math
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from ergocubes.finite import is_free, partition_st
+from ergocubes.finite import S_GEN, T_GEN, invariant_partition, is_free, partition_st
 from ergocubes.joinings import invariant_w, is_magic, measurability_check
 from oracles import lattice_unions, lattices, literal_stabilizer
 
@@ -23,6 +23,13 @@ def test_every_type_and_every_union_once():
     unions = [c for k in (2, 3) for c in combinations_with_replacement(small, k) if sum(p * r for p, _, r in c) <= 8]
     found = Counter(tuple(sorted(literal_stabilizer(sys, o[0]) for o in partition_st(sys).blocks())) for sys in lattice_unions(8))
     assert found == {union: 2 for union in unions} and len(unions) == 458
+
+
+def test_joint_orbits_are_the_orbits_of_the_generated_group():
+    # partition_st unions the listed S and T; invariant_partition builds each
+    # generator through group_perm
+    for sys in lattices(24) + lattice_unions(8):
+        assert partition_st(sys) == invariant_partition(sys, (S_GEN, T_GEN))
 
 
 def test_verdicts_follow_the_triple():
