@@ -2,9 +2,9 @@
 maps: self-joinings, a four-fold seminorm, magic extensions, quadruple spaces,
 window averages with closed-form compression, and analytic torus oracles.
 
-`import ergocubes` loads no submodule: each name below is looked up in its
-module on first access (PEP 562), so a process compiles only the layers it
-uses.
+`import ergocubes` loads no submodule: each name below, and each submodule
+(`ergocubes.finite`), is looked up on first access (PEP 562), so a process
+compiles only the layers it uses.
 """
 
 from importlib import import_module
@@ -47,12 +47,16 @@ _EXPORTS = {
     for name in names
 }
 
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"linalg"}
+
 __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
     # Not cached here: the name stays whatever its module binds now.
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
     try:
         module = _EXPORTS[name]
     except KeyError:
@@ -61,4 +65,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

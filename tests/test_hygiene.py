@@ -499,3 +499,17 @@ def test_every_export_is_the_object_its_module_defines():
     assert json.loads(_fresh(probe, json.dumps(exports))) == [list(exports), [], False]
     with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
         ergocubes.nonesuch
+
+
+# every module but the package and the command line, each an attribute of a
+# bare `import ergocubes` as when the package imported them all
+SUBMODULES = sorted(path.stem for path in SOURCES if path.stem not in ("__init__", "cli"))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_a_bare_import_reaches_each_submodule(name):
+    probe = (
+        "import sys, ergocubes\n"
+        f"print(ergocubes.{name} is sys.modules['ergocubes.{name}'] and {name!r} in dir(ergocubes))"
+    )
+    assert _fresh(probe) == "True"

@@ -495,9 +495,16 @@ class TestWindowBoundAtHugeWindows:
 def test_import_leaves_numpy_unloaded():
     src = Path(ergocubes.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, ergocubes; print('numpy' in sys.modules)"
+    # `import ergocubes` loads no submodule, so the probe loads each one
+    probe = (
+        "import importlib, pkgutil, sys, ergocubes\n"
+        "names = [m.name for m in pkgutil.iter_modules(ergocubes.__path__)]\n"
+        "for name in names: importlib.import_module('ergocubes.' + name)\n"
+        "print(' '.join(sorted(names)), 'numpy' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    modules = " ".join(sorted(path.stem for path in (src / "ergocubes").glob("*.py") if path.stem != "__init__"))
+    assert out.stdout.strip() == f"{modules} False"
 
 
 class TestTorusReport:
